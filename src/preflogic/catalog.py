@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import difflib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 from .decompile import decompile
@@ -23,6 +23,7 @@ from .prefstruct import (
     marks_from_json,
     pref_equivalent,
     structure_from_json,
+    support_key,
     to_marks,
 )
 from .semantics import compile_equation
@@ -43,6 +44,13 @@ class CatalogEntry:
 class Catalog:
     entries: dict[str, CatalogEntry]
     aliases: dict[str, tuple[str, str]]  # alias -> (entry name, f kind or "fuzzy")
+    _names_by_key: dict[tuple, str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        names_by_key: dict[tuple, str] = {}
+        for entry in self.entries.values():
+            names_by_key.setdefault(support_key(entry.structure), entry.name)
+        object.__setattr__(self, "_names_by_key", names_by_key)
 
     def names(self) -> list[str]:
         return list(self.entries)
@@ -76,10 +84,7 @@ class Catalog:
 
     def name_of(self, structure: PreferenceStructure) -> str | None:
         """Name of the first entry preference-equivalent to the structure."""
-        for entry in self.entries.values():
-            if pref_equivalent(entry.structure, structure):
-                return entry.name
-        return None
+        return self._names_by_key.get(support_key(structure))
 
 
 def _build_entry(doc: dict) -> CatalogEntry:

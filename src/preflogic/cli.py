@@ -43,7 +43,6 @@ class Config:
     catalog_path: str | None = None
     fmt: str = "text"
     out: str | None = None
-    seed: int = 0
     beta: float = 1.0
     f_kind: str = "sl-log"
 
@@ -253,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--catalog", help="path to a catalog JSON overriding the bundled one")
     parser.add_argument("--format", choices=("text", "json", "dot"), default="text")
     parser.add_argument("--out", help="write output to a file instead of stdout")
-    parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompile", help="loss equation or catalog name -> structure")
@@ -307,7 +305,6 @@ def main(argv=None) -> int:
         catalog_path=args.catalog,
         fmt=args.format,
         out=args.out,
-        seed=args.seed,
     )
     try:
         return args.func(args, config)

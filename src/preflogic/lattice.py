@@ -18,11 +18,10 @@ from .prefstruct import (
     implication_form,
     is_nontrivial,
     pref_entails,
-    pref_equivalent,
 )
 
 MAX_LATTICE_ATOMS = 4
-MAX_INTERVAL = 1 << 20  # refuse blow-ups even inside the atom cap
+MAX_INTERVAL = 1 << 12  # structures per interval or Hasse input, inside the atom cap
 
 
 @dataclass(frozen=True)
@@ -30,6 +29,13 @@ class LatticeSpec:
     lower: PreferenceStructure
     upper: PreferenceStructure
     nontrivial_only: bool = True
+
+
+def _require_within_limit(count: int, what: str) -> None:
+    if count > MAX_INTERVAL:
+        raise PrefLogicError(
+            f"{what} {count} structures, more than MAX_INTERVAL = {MAX_INTERVAL}; refusing"
+        )
 
 
 def _submasks(mask: int):
@@ -60,8 +66,7 @@ def enumerate_between(spec: LatticeSpec) -> list[PreferenceStructure]:
     check_room = upper.check_bits & ~lower.check_bits
     cross_room = lower.cross_bits & ~upper.cross_bits
     count = (1 << bin(check_room).count("1")) * (1 << bin(cross_room).count("1"))
-    if count > MAX_INTERVAL:
-        raise PrefLogicError(f"interval holds {count} structures; refusing to enumerate")
+    _require_within_limit(count, "interval holds")
 
     pairs = set()
     for extra_check in _submasks(check_room):
@@ -84,26 +89,49 @@ def enumerate_between(spec: LatticeSpec) -> list[PreferenceStructure]:
 def hasse(structures) -> list[tuple[int, int]]:
     """Covering relation of strict entailment over deduplicated structures.
 
-    Returns (i, j) index pairs meaning structures[i] strictly entails
-    structures[j] with nothing in between.
+    Returns (i, j) index pairs, sorted, meaning structures[i] strictly
+    entails structures[j] with nothing in between.  Entailment is inclusion
+    of the bit vector (check, not cross) over the shared atoms, so each
+    structure is widened once into one integer; O(m^2) subset tests fill
+    up[i] (every j above i) and down[j] (every i below j) as index
+    bitmasks, and (i, j) is a covering edge when j is in up[i] and
+    up[i] & down[j] is empty.
     """
     items = list(structures)
+    _require_within_limit(len(items), "hasse got")
     atoms = canonical_order(a for s in items for a in s.atoms)
-    aligned = [s.harmonized(atoms) for s in items]
-    m = len(aligned)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if pref_equivalent(aligned[i], aligned[j]):
-                raise PrefLogicError(f"structures {i} and {j} are equivalent; deduplicate first")
-    le = [[pref_entails(aligned[i], aligned[j]) for j in range(m)] for i in range(m)]
+    rows = 1 << len(atoms)
+    full = (1 << rows) - 1
+    widened = [s.harmonized(atoms) for s in items]
+    vectors = [(s.check_bits << rows) | (full & ~s.cross_bits) for s in widened]
+    first: dict[int, int] = {}
+    for k, v in enumerate(vectors):
+        first.setdefault(v, k)
+    repeats = [(first[v], k) for k, v in enumerate(vectors) if first[v] != k]
+    if repeats:
+        i, j = min(repeats)
+        raise PrefLogicError(f"structures {i} and {j} are equivalent; deduplicate first")
+
+    m = len(vectors)
+    up = [0] * m
+    down = [0] * m
+    for i, vi in enumerate(vectors):
+        bit_i = 1 << i
+        above = 0
+        for j, vj in enumerate(vectors):
+            if vi | vj == vj and i != j:
+                above |= 1 << j
+                down[j] |= bit_i
+        up[i] = above
     edges = []
-    for i in range(m):
-        for j in range(m):
-            if i == j or not le[i][j]:
-                continue
-            if any(k not in (i, j) and le[i][k] and le[k][j] for k in range(m)):
-                continue
-            edges.append((i, j))
+    for i, above in enumerate(up):
+        rest = above
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
+            if not above & down[j]:
+                edges.append((i, j))
     return edges
 
 

@@ -11,7 +11,7 @@ Equation source grammar (whitespace insignificant)::
     equation := poly "/" poly
     poly     := term ("+" term)*
     term     := factor ("*" factor)*
-    factor   := atomref ["^" int] | "(1 - " atomref ")" | "(" poly ")"
+    factor   := "1" | atomref ["^" int] | "(1 - " atomref ")" | "(" poly ")"
     atomref  := "p(" model "," role ["," "copy" int] ")"
 """
 
@@ -315,6 +315,9 @@ class _EquationParser:
                     raise EquationSyntaxError("exponent must be a positive integer", num_at)
                 exponent = int(num)
             return [[(atom, True, exponent)]]
+        if tok == "1":  # the empty product, as Term.render writes it
+            self.take()
+            return [[]]
         if tok == "(":
             self.take()
             inner_tok, _ = self.peek()

@@ -22,6 +22,7 @@ from .logic import (
     MAX_MINIMIZE_ATOMS,
     Formula,
     TruthTable,
+    _var_mask,
     and_,
     formula_of,
     harmonize,
@@ -171,6 +172,8 @@ def from_marks(m: MarkTable) -> PreferenceStructure:
 
 
 def _aligned(s1: PreferenceStructure, s2: PreferenceStructure):
+    if s1.atoms == s2.atoms:
+        return s1, s2
     atoms = canonical_order(tuple(s1.atoms) + tuple(s2.atoms))
     return s1.harmonized(atoms), s2.harmonized(atoms)
 
@@ -184,6 +187,36 @@ def pref_entails(s1: PreferenceStructure, s2: PreferenceStructure) -> bool:
 def pref_equivalent(s1: PreferenceStructure, s2: PreferenceStructure) -> bool:
     a, b = _aligned(s1, s2)
     return a.check_bits == b.check_bits and a.cross_bits == b.cross_bits
+
+
+def support_key(s: PreferenceStructure) -> tuple:
+    """(atoms, check, cross) restricted to the atoms either set depends on.
+
+    Widening by an atom that neither set depends on copies every row into
+    both halves that atom splits, so projecting such atoms out leaves a key
+    that two structures share exactly when they are preference-equivalent.
+    """
+    atoms = list(s.atoms)
+    check, cross = s.check_bits, s.cross_bits
+    # walk from the last atom back, so a deletion leaves the indices still to visit intact
+    for j in reversed(range(len(atoms))):
+        n = len(atoms)
+        half = 1 << (n - 1 - j)
+        high = _var_mask(j, n)
+        if any(((bits & high) >> half) != (bits & ~high) for bits in (check, cross)):
+            continue
+        check, cross = _project_out(check, half, 1 << n), _project_out(cross, half, 1 << n)
+        del atoms[j]
+    return tuple(atoms), check, cross
+
+
+def _project_out(bits: int, half: int, rows: int) -> int:
+    """Keep the rows where the atom owning row bit ``half`` is false, gaps closed."""
+    seg = (1 << half) - 1
+    out = 0
+    for k, start in enumerate(range(0, rows, 2 * half)):
+        out |= ((bits >> start) & seg) << (k * half)
+    return out
 
 
 def is_nontrivial(s: PreferenceStructure) -> bool:

@@ -111,3 +111,50 @@ def structure_from_bits(atoms, check: int, cross: int):
 
 def random_weights(rng: random.Random, atoms, lo: float = 0.01, hi: float = 0.99) -> dict:
     return {a.token() if isinstance(a, Atom) else str(a): rng.uniform(lo, hi) for a in atoms}
+
+
+def structure_rows(s, atoms) -> tuple[frozenset, frozenset]:
+    """(check rows, cross rows) of a structure over ``atoms``.
+
+    Rows are tuples of truth values in ``atoms`` order, found by evaluating
+    P, PC and PA on every assignment: the check set is (P or PA) and PC,
+    the cross set (not P or PA) and PC.
+    """
+    check, cross = set(), set()
+    for values in itertools.product((False, True), repeat=len(atoms)):
+        assignment = dict(zip(atoms, values))
+        p, pc, pa = (eval_expr(f.tree, assignment) for f in (s.p, s.pc, s.pa))
+        if pc and (p or pa):
+            check.add(values)
+        if pc and (not p or pa):
+            cross.add(values)
+    return frozenset(check), frozenset(cross)
+
+
+def shared_atoms(structures) -> list[Atom]:
+    return sorted({a for s in structures for a in s.atoms}, key=Atom.token)
+
+
+def covering_edges_by_bruteforce(structures) -> set[tuple[int, int]]:
+    """(i, j) where structures[i] strictly entails structures[j] and no
+    structure lies strictly between, by comparing explicit row sets."""
+    atoms = shared_atoms(structures)
+    rows = [structure_rows(s, atoms) for s in structures]
+    m = len(rows)
+
+    def strictly_below(a, b):
+        return a != b and a[0] <= b[0] and b[1] <= a[1]
+
+    above = [{j for j in range(m) if strictly_below(rows[i], rows[j])} for i in range(m)]
+    below = [{i for i in range(m) if j in above[i]} for j in range(m)]
+    return {(i, j) for i in range(m) for j in above[i] if not above[i] & below[j]}
+
+
+def first_equivalent_pair(structures) -> tuple[int, int] | None:
+    """Lexicographically smallest (i, j), i < j, with equal row sets."""
+    atoms = shared_atoms(structures)
+    rows = [structure_rows(s, atoms) for s in structures]
+    for i, j in itertools.combinations(range(len(rows)), 2):
+        if rows[i] == rows[j]:
+            return i, j
+    return None

@@ -13,9 +13,10 @@ from preflogic import (
     pref_equivalent,
     to_marks,
 )
+from preflogic.atoms import canonical_order
 from preflogic.errors import UnknownLossError
 
-from conftest import random_weights
+from conftest import random_bits, random_weights, structure_from_bits
 
 NAMED = ["CE", "CEUnl", "CPO", "ORPO", "SimPO", "DPO", "DPOP", "unCPO", "cCPO",
          "qfUNL", "cfUNL", "sCE"]
@@ -116,3 +117,35 @@ def test_catalog_override_path(tmp_path, catalog):
     assert entry.equation_text == "p(theta,yw) / (1 - p(theta,yw))"
     with pytest.raises(UnknownLossError):
         mini.get("DPO")
+
+
+def linear_name_of(catalog, structure):
+    """The scan the indexed name_of replaces: first equivalent entry wins."""
+    for entry in catalog.entries.values():
+        if pref_equivalent(entry.structure, structure):
+            return entry.name
+    return None
+
+
+def test_name_of_matches_linear_scan(catalog):
+    rng = random.Random(6)
+    pool = canonical_order(["theta:yw", "theta:yl", "theta:yw:2", "ref:yw", "ref:yl", "mref:yl"])
+    corpus = []
+    for _ in range(150):
+        atoms = rng.sample(pool, rng.randint(1, 4))
+        corpus.append(structure_from_bits(atoms, random_bits(rng, len(atoms)),
+                                          random_bits(rng, len(atoms))))
+    # every two-atom column, where the catalog's sixteen columns live
+    two = canonical_order(["theta:yw", "theta:yl"])
+    corpus += [structure_from_bits(two, c, x) for c in range(16) for x in range(16)]
+    entries = [catalog.get(name).structure for name in catalog.names()]
+    corpus += entries
+    # entries widened by atoms they do not use
+    unused = canonical_order(["theta:yl:2", "mref:yl"])
+    corpus += [s.harmonized(unused[: k % 2 + 1]) for k, s in enumerate(entries)]
+    hits = 0
+    for s in corpus:
+        want = linear_name_of(catalog, s)
+        assert catalog.name_of(s) == want
+        hits += want is not None
+    assert hits >= 2 * len(entries)

@@ -147,6 +147,23 @@ def test_lattice_json(capsys):
     assert all(len(edge) == 2 for edge in doc["edges"])
 
 
+def test_lattice_above_interval_limit_exits_2_before_enumerating(capsys, tmp_path, monkeypatch):
+    from preflogic import lattice
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("a structure was built for the refused interval")
+
+    monkeypatch.setattr(lattice, "implication_form", no_enumeration)
+    paths = []
+    for p in ("false", "true"):
+        doc = {"atoms": ["theta:yw", "theta:yl", "ref:yw"], "P": p, "PC": "true", "PA": "false"}
+        paths.append(tmp_path / f"{p}.json")
+        paths[-1].write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "lattice", "--lower", str(paths[0]), "--upper", str(paths[1]))
+    assert code == 2 and out == ""
+    assert f"65536 structures, more than MAX_INTERVAL = {lattice.MAX_INTERVAL}" in err
+
+
 def test_catalog_list(capsys):
     code, out, _ = run(capsys, "catalog", "list")
     assert code == 0

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from preflogic import (
     WeightMap,
+    compile_equation,
     decompile,
     decompile_fuzzy,
     equivalent,
@@ -25,7 +26,7 @@ from preflogic import (
 from preflogic.atoms import Atom, canonical_order
 from preflogic.poly import Literal, Polynomial, Term
 
-from conftest import assignment_for, random_weights
+from conftest import assignment_for, random_weights, structure_from_bits
 
 W, L = "theta:yw", "theta:yl"
 WL = canonical_order([W, L])
@@ -102,6 +103,16 @@ def test_decompile_win_lose_ratio():
     assert equivalent(s.p, parse_formula("(implies theta:yl theta:yw)", WL))
     assert equivalent(s.pc, parse_formula("(or theta:yl theta:yw)", WL))
     assert equivalent(s.pa, parse_formula("(and theta:yl theta:yw)", WL))
+
+
+def test_all_rows_checked_column_round_trips_through_equation_text():
+    # the check set holds every row, so the numerator is the empty product
+    s = structure_from_bits(WL, 0b1111, 0b0010)
+    text = compile_equation(s).render()
+    assert text == "1 / ((1 - p(theta,yw))*p(theta,yl))"
+    back = decompile(parse_equation(text))
+    assert pref_equivalent(back, s)
+    assert compile_equation(back).render() == text
 
 
 def test_decompile_odds_ratio():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from preflogic import (
@@ -9,11 +11,20 @@ from preflogic import (
     load_catalog,
     pref_entails,
     pref_equivalent,
+    reference_structure,
+    structure_from_json,
 )
+from preflogic import lattice
 from preflogic.atoms import canonical_order
 from preflogic.errors import AtomLimitError, BoundViolationError, PrefLogicError
 
-from conftest import structure_from_bits
+from conftest import (
+    covering_edges_by_bruteforce,
+    first_equivalent_pair,
+    shared_atoms,
+    structure_from_bits,
+    structure_rows,
+)
 
 WL = canonical_order(["theta:yw", "theta:yl"])
 
@@ -164,3 +175,93 @@ def test_export_dot_unnamed_nodes_use_hex_labels(catalog):
     s = structure_from_bits(WL, 0b0110, 0b1001)
     dot = export_dot([s], [])
     assert 'label="0x6/0x9"' in dot
+
+
+# ---------------------------------------------------------------------------
+# differential tests: hasse against the brute-force covering relation
+
+EXTRA_ATOMS = canonical_order(["ref:yw", "mref:yl"])
+
+
+def full_two_atom_interval(nontrivial_only):
+    bounds = [structure_from_json({"atoms": ["theta:yw", "theta:yl"], "P": p,
+                                   "PC": "true", "PA": "false"}) for p in ("false", "true")]
+    return enumerate_between(LatticeSpec(*bounds, nontrivial_only=nontrivial_only))
+
+
+def dedup_by_rows(structures):
+    atoms = shared_atoms(structures)
+    seen, out = set(), []
+    for s in structures:
+        key = structure_rows(s, atoms)
+        if key not in seen:
+            seen.add(key)
+            out.append(s)
+    return out
+
+
+def assert_hasse_matches_oracle(structures):
+    edges = hasse(structures)
+    assert edges == sorted(covering_edges_by_bruteforce(structures))
+
+
+@pytest.mark.parametrize("nontrivial_only", [True, False])
+def test_hasse_matches_oracle_on_full_two_atom_interval(nontrivial_only):
+    structures = full_two_atom_interval(nontrivial_only)
+    assert len(structures) == (210 if nontrivial_only else 256)
+    assert_hasse_matches_oracle(structures)
+
+
+def test_hasse_matches_oracle_on_random_subsets():
+    rng = random.Random(4)
+    pool = full_two_atom_interval(nontrivial_only=False)
+    for _ in range(40):
+        subset = rng.sample(pool, rng.randint(0, 48))
+        # some members range over unused extra atoms, so hasse must widen
+        subset = [s.harmonized(EXTRA_ATOMS[: rng.randint(0, 2)]) for s in subset]
+        assert_hasse_matches_oracle(subset)
+
+
+def test_hasse_matches_oracle_on_catalog_structures(catalog):
+    structures = dedup_by_rows([catalog.get(n).structure for n in catalog.names()])
+    assert len({s.atoms for s in structures}) > 1  # mixed atom sets
+    assert_hasse_matches_oracle(structures)
+
+
+def test_hasse_matches_oracle_on_reference_forms_of_catalog_structures(catalog):
+    plain = [catalog.get(n).structure for n in catalog.names()]
+    plain = [s for s in plain if all(a.model != "ref" for a in s.atoms)]
+    referenced = dedup_by_rows([reference_structure(s) for s in dedup_by_rows(plain)])
+    assert len(referenced) > 10
+    assert_hasse_matches_oracle(referenced)
+
+
+def test_hasse_duplicate_error_names_the_first_equivalent_pair(catalog):
+    orpo, ceunl, cpo = (s_of(catalog, n) for n in ("ORPO", "CEUnl", "CPO"))
+    wide_cpo = cpo.harmonized(EXTRA_ATOMS)
+    with pytest.raises(PrefLogicError, match="structures 0 and 5 are equivalent"):
+        hasse([orpo, ceunl, cpo, ceunl, wide_cpo, orpo])
+    with pytest.raises(PrefLogicError, match="structures 1 and 4 are equivalent"):
+        hasse([orpo, ceunl, cpo, wide_cpo, ceunl, cpo])
+
+
+def test_hasse_duplicate_error_matches_oracle_on_random_lists():
+    rng = random.Random(5)
+    pool = full_two_atom_interval(nontrivial_only=False)
+    for _ in range(30):
+        items = [rng.choice(pool[:24]) for _ in range(rng.randint(2, 12))]
+        want = first_equivalent_pair(items)
+        if want is None:
+            assert_hasse_matches_oracle(items)
+            continue
+        with pytest.raises(PrefLogicError, match=f"structures {want[0]} and {want[1]} are"):
+            hasse(items)
+
+
+def test_hasse_refuses_more_than_max_interval_structures(monkeypatch):
+    structures = full_two_atom_interval(nontrivial_only=False)[:9]
+    monkeypatch.setattr(lattice, "MAX_INTERVAL", 8)
+    with pytest.raises(PrefLogicError, match="9 structures, more than MAX_INTERVAL = 8"):
+        hasse(structures)
+    assert hasse(structures[:8]) == sorted(covering_edges_by_bruteforce(structures[:8]))
+

@@ -81,6 +81,13 @@ def test_parse_rejects_malformed_equations(bad):
         parse_equation(bad)
 
 
+def test_parse_bare_one_is_the_empty_product():
+    eq = parse_equation("1 / ((1 - p(theta,yw))*p(theta,yl))")
+    assert eq.top == Polynomial((Term(()),))
+    assert eq.render() == "1 / ((1 - p(theta,yw))*p(theta,yl))"
+    assert poly_terms(parse_polynomial("1*p(theta,yw)")) == [{("theta:yw", True)}]
+
+
 def test_parse_copy_reference():
     eq = parse_equation("p(theta,yw,copy 2) / p(theta,yl)")
     assert poly_terms(eq.top) == [{("theta:yw:2", True)}]

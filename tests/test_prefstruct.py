@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -23,9 +24,9 @@ from preflogic import (
 )
 from preflogic.atoms import canonical_order
 from preflogic.errors import PrefLogicError
-from preflogic.prefstruct import PreferenceStructure
+from preflogic.prefstruct import PreferenceStructure, support_key
 
-from conftest import structure_from_bits
+from conftest import random_bits, structure_from_bits
 
 W, L = "theta:yw", "theta:yl"
 WL = canonical_order([W, L])
@@ -238,3 +239,26 @@ def test_pref_entailment_is_a_preorder(c1, x1, c2, x2, c3, x3):
         assert pref_entails(s1, s3)
     if pref_entails(s1, s2) and pref_entails(s2, s1):
         assert pref_equivalent(s1, s2)
+
+
+def test_support_key_is_equal_exactly_for_equivalent_structures():
+    rng = random.Random(7)
+    pool = canonical_order([W, L, "ref:yw", "ref:yl"])
+    structures = []
+    for _ in range(120):
+        atoms = rng.sample(pool, rng.randint(1, 3))
+        # sparse bits make structures that ignore some of their atoms
+        check = random_bits(rng, len(atoms)) & random_bits(rng, len(atoms))
+        cross = random_bits(rng, len(atoms)) | random_bits(rng, len(atoms))
+        s = structure_from_bits(atoms, check, cross)
+        structures += [s, s.harmonized(pool)]
+    for a in structures:
+        for b in structures[::7]:
+            assert (support_key(a) == support_key(b)) == pref_equivalent(a, b)
+
+
+def test_support_key_drops_unused_atoms():
+    wide = cpo_structure().harmonized(canonical_order([W, L, "ref:yw"]))
+    assert support_key(wide) == support_key(cpo_structure()) == (WL, 0b1100, 0b1010)
+    constant = structure_from_bits(WL, 0b1111, 0)
+    assert support_key(constant) == ((), 1, 0)
