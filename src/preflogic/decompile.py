@@ -14,19 +14,10 @@ import warnings
 
 from .atoms import Atom, canonical_order
 from .errors import PrefLogicError
-from .logic import FALSE, TRUE, Expr, Formula, TruthTable, and_, formula_of, implies_, minimize, not_
+from .logic import (FALSE, TRUE, Expr, Formula, TruthTable, and_, formula_of, implies_, minimize,
+                    sop_tree)
 from .poly import LossEquation, Polynomial, check_disjoint
 from .prefstruct import PreferenceStructure, implication_form
-
-
-def _term_tree(term) -> Expr:
-    lits = [Expr("atom", atom=l.atom) if l.positive else not_(Expr("atom", atom=l.atom))
-            for l in term.literals]
-    if not lits:
-        return TRUE
-    if len(lits) == 1:
-        return lits[0]
-    return and_(*lits)
 
 
 def sem(p: Polynomial, atoms=None) -> Formula:
@@ -43,14 +34,7 @@ def sem(p: Polynomial, atoms=None) -> Formula:
         )
     if atoms is None:
         atoms = p.atoms()
-    trees = [_term_tree(t) for t in p.terms]
-    if not trees:
-        tree = FALSE
-    elif len(trees) == 1:
-        tree = trees[0]
-    else:
-        tree = Expr("or", tuple(trees))
-    return Formula(tree, atoms)
+    return Formula(sop_tree([(l.atom, l.positive) for l in t.literals] for t in p.terms), atoms)
 
 
 def decompile(eq: LossEquation) -> PreferenceStructure:

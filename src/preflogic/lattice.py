@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 from .atoms import canonical_order
 from .errors import AtomLimitError, BoundViolationError, PrefLogicError
-from .logic import TruthTable, formula_of, render
-from .prefstruct import (
+from .prefstruct import (  # implication_form stays importable here for callers that patch it
     PreferenceStructure,
     implication_form,
     is_nontrivial,
@@ -68,17 +67,12 @@ def enumerate_between(spec: LatticeSpec) -> list[PreferenceStructure]:
     count = (1 << bin(check_room).count("1")) * (1 << bin(cross_room).count("1"))
     _require_within_limit(count, "interval holds")
 
-    pairs = set()
-    for extra_check in _submasks(check_room):
-        check = lower.check_bits | extra_check
-        for extra_cross in _submasks(cross_room):
-            pairs.add((check, upper.cross_bits | extra_cross))
-
+    pairs = sorted((lower.check_bits | extra_check, upper.cross_bits | extra_cross)
+                   for extra_check in _submasks(check_room)
+                   for extra_cross in _submasks(cross_room))
     out = []
-    for check, cross in sorted(pairs):
-        s = implication_form(
-            formula_of(TruthTable(atoms, check)), formula_of(TruthTable(atoms, cross))
-        )
+    for check, cross in pairs:
+        s = PreferenceStructure.from_bits(atoms, check, cross)
         if spec.nontrivial_only and not is_nontrivial(s):
             continue
         assert pref_entails(lower, s) and pref_entails(s, upper)
@@ -138,7 +132,8 @@ def hasse(structures) -> list[tuple[int, int]]:
 def export_dot(structures, edges, labels=None) -> str:
     """Render structures and covering edges as a DOT digraph.
 
-    Nodes sharing a core formula are grouped into clusters.  Labels come
+    Nodes sharing a core (the rows of cross -> check) are grouped into
+    clusters, each labelled with its first member's P.  Labels come
     from the optional index -> name mapping, falling back to the hex of the
     (check, cross) bit pair.
     """
@@ -150,12 +145,11 @@ def export_dot(structures, edges, labels=None) -> str:
     lines = ["digraph preference_lattice {", "  rankdir=LR;", "  node [shape=box];"]
     regions: dict[int, list[int]] = {}
     for i, s in enumerate(aligned):
-        regions.setdefault(s.p.bits, []).append(i)
+        regions.setdefault(s.core_bits, []).append(i)
     for cluster, core_bits in enumerate(sorted(regions)):
         members = regions[core_bits]
-        core = render(aligned[members[0]].p.tree)
         lines.append(f"  subgraph cluster_{cluster} {{")
-        lines.append(f'    label="{core}";')
+        lines.append(f'    label="{aligned[members[0]].p}";')
         for i in members:
             name = labels.get(i)
             if name is None:

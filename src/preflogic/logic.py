@@ -85,6 +85,21 @@ def render(node: Expr) -> str:
     return "(" + " ".join([node.op] + [render(a) for a in node.args]) + ")"
 
 
+def sop_tree(cubes) -> Expr:
+    """Disjunction of conjunctions of (atom, positive) literals.
+
+    An empty conjunction is true, an empty disjunction false, and a single
+    operand stands alone.
+    """
+    def join(op, xs, empty):
+        return empty if not xs else xs[0] if len(xs) == 1 else Expr(op, tuple(xs))
+
+    def literal(atom, positive):
+        return var(atom) if positive else not_(var(atom))
+
+    return join("or", [join("and", [literal(*lit) for lit in cube], TRUE) for cube in cubes], FALSE)
+
+
 def _var_mask(j: int, n: int) -> int:
     # bitmask of assignments where atom j is true; atom j owns bit (n-1-j) of i
     block = 1 << (n - 1 - j)
@@ -178,6 +193,29 @@ def row_permutation(given: tuple[Atom, ...], target: tuple[Atom, ...]) -> list[i
     return perm
 
 
+def widen(bits: int, atoms: tuple[Atom, ...], wider: tuple[Atom, ...]) -> int:
+    """The same row set over ``wider``, a canonical superset of ``atoms``.
+
+    A row of the wider table is in the set when its restriction to
+    ``atoms`` is.  Each added atom at position j doubles every block of the
+    rows its bit splits: the 2^j blocks of the atoms after it are copied
+    into both of its halves.
+    """
+    have = set(atoms)
+    width = len(atoms)
+    for j, a in enumerate(wider):
+        if a in have:
+            continue
+        low = 1 << (width - j)  # rows per block below the added atom's bit
+        seg = (1 << low) - 1
+        out = 0
+        for k in range(1 << j):
+            block = (bits >> (k * low)) & seg
+            out |= (block | (block << low)) << (2 * k * low)
+        bits, width = out, width + 1
+    return bits
+
+
 @dataclass(frozen=True)
 class TruthTable:
     """Satisfying-assignment bit set over an ordered atom list.
@@ -215,10 +253,6 @@ class TruthTable:
         """Yield (assignment index, satisfied) over all 2^n rows."""
         for i in range(1 << self.n):
             yield i, bool((self.bits >> i) & 1)
-
-
-def formula(tree: Expr, atoms) -> Formula:
-    return Formula(tree, canonical_order(atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +365,8 @@ def formula_of(t: TruthTable) -> Formula:
         patterns = _min_cover_patterns(t.bits, n)
     else:
         patterns = [_minterm_pattern(i, n) for i in _iter_bits(t.bits)]
-    return Formula(_sop_tree(patterns, t.atoms), t.atoms)
+    cubes = ([(a, c == "1") for a, c in zip(t.atoms, p) if c != "-"] for p in sorted(patterns))
+    return Formula(sop_tree(cubes), t.atoms)
 
 
 def harmonize(f: Formula, atoms) -> Formula:
@@ -488,40 +523,12 @@ def _min_cover_patterns(bits: int, n: int) -> list[str]:
     return sorted(primes[i] for i in best)
 
 
-def _pattern_tree(pattern: str, atoms: tuple[Atom, ...]) -> Expr:
-    lits = []
-    for j, c in enumerate(pattern):
-        if c == "1":
-            lits.append(Expr("atom", atom=atoms[j]))
-        elif c == "0":
-            lits.append(not_(Expr("atom", atom=atoms[j])))
-    if not lits:
-        return TRUE
-    if len(lits) == 1:
-        return lits[0]
-    return and_(*lits)
-
-
-def _sop_tree(patterns: list[str], atoms: tuple[Atom, ...]) -> Expr:
-    terms = [_pattern_tree(p, atoms) for p in sorted(patterns)]
-    if not terms:
-        return FALSE
-    if len(terms) == 1:
-        return terms[0]
-    return or_(*terms)
-
-
 def minimize(f: Formula) -> Formula:
     """Equivalent formula in minimal sum-of-products form (deterministic)."""
     if f.n > MAX_MINIMIZE_ATOMS:
         raise AtomLimitError(
             f"exact minimization handles at most {MAX_MINIMIZE_ATOMS} atoms, got {f.n}"
         )
-    if f.bits == 0:
-        out = Formula(FALSE, f.atoms)
-    elif f.bits == f.full_mask:
-        out = Formula(TRUE, f.atoms)
-    else:
-        out = Formula(_sop_tree(_min_cover_patterns(f.bits, f.n), f.atoms), f.atoms)
+    out = formula_of(models_of(f))
     assert out.bits == f.bits
     return out

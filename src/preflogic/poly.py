@@ -23,7 +23,14 @@ import warnings
 from dataclasses import dataclass
 
 from .atoms import Atom, as_atom, canonical_order
-from .errors import EquationSyntaxError, MissingWeightError, NonDisjointError, PrefLogicError
+from .errors import (
+    AtomLimitError,
+    EquationSyntaxError,
+    MissingWeightError,
+    NonDisjointError,
+    PrefLogicError,
+)
+from .logic import MAX_ATOMS
 
 WEIGHT_EPSILON = 1e-12  # weights are clamped into [eps, 1 - eps] before use
 
@@ -176,7 +183,8 @@ def make_multilinear(raw: RawPoly) -> Polynomial:
     A factor p^k on an atom with copy index c becomes the product of the
     literals at copies c, c+1, ..., c+k-1, all sharing the atom's base; a
     term that takes both p and 1 - p on the same atom is rejected, since no
-    product of distinct literals represents it.
+    product of distinct literals represents it, and so is a term whose
+    exponents sum past MAX_ATOMS, before any copy literal is built.
     """
     terms = []
     for raw_term in raw:
@@ -186,6 +194,9 @@ def make_multilinear(raw: RawPoly) -> Polynomial:
                 raise PrefLogicError(f"exponent on {atom.token()} must be a positive integer")
             key = (atom, positive)
             powers[key] = powers.get(key, 0) + exponent
+        width = sum(powers.values())
+        if width > MAX_ATOMS:
+            raise AtomLimitError(f"a term of {width} literals exceeds MAX_ATOMS = {MAX_ATOMS}")
         by_atom: dict[Atom, bool] = {}
         for (atom, positive), _ in powers.items():
             if atom in by_atom and by_atom[atom] != positive:

@@ -9,12 +9,15 @@ sides.  Its two derived forms
     negated formula form  (not P or PA) and PC  -- the loser reading
 
 induce the check set and cross set of a four-valued mark table: rows in
-both sets carry both marks, rows in neither are blank.
+both sets carry both marks, rows in neither are blank.  The structure is
+that (check set, cross set) pair over its atoms; P, PC and PA are views of
+it, built when first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .atoms import Atom, as_atom, canonical_order
 from .errors import PrefLogicError
@@ -28,62 +31,90 @@ from .logic import (
     harmonize,
     harmonize_pair,
     implies_,
-    minimize,
     not_,
     or_,
     parse_formula,
     render,
-    row_permutation,
+    widen,
 )
 
 MARKS = ("blank", "check", "cross", "both")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, init=False)
 class PreferenceStructure:
-    p: Formula
-    pc: Formula
-    pa: Formula
-    check_bits: int = field(init=False)
-    cross_bits: int = field(init=False)
+    """The (check set, cross set) pair over an ordered atom list.
 
-    def __post_init__(self):
-        atoms = canonical_order(tuple(self.p.atoms) + tuple(self.pc.atoms) + tuple(self.pa.atoms))
-        object.__setattr__(self, "p", harmonize(self.p, atoms))
-        object.__setattr__(self, "pc", harmonize(self.pc, atoms))
-        object.__setattr__(self, "pa", harmonize(self.pa, atoms))
-        full = self.p.full_mask
-        object.__setattr__(self, "check_bits", (self.p.bits | self.pa.bits) & self.pc.bits)
-        object.__setattr__(self, "cross_bits", ((full & ~self.p.bits) | self.pa.bits) & self.pc.bits)
+    ``==`` and ``hash`` read only (atoms, check_bits, cross_bits).
+    ``PreferenceStructure(p, pc, pa)`` keeps the formulas it is given for
+    display; ``from_bits`` derives P := cross -> check, PC := check or
+    cross and PA := check and cross on first access, each minimized within
+    the minimization atom cap.
+    """
 
-    @property
-    def atoms(self) -> tuple[Atom, ...]:
-        return self.p.atoms
+    atoms: tuple[Atom, ...]
+    check_bits: int
+    cross_bits: int
+
+    def __init__(self, p: Formula, pc: Formula, pa: Formula):
+        atoms = canonical_order(tuple(p.atoms) + tuple(pc.atoms) + tuple(pa.atoms))
+        p, pc, pa = (harmonize(f, atoms) for f in (p, pc, pa))
+        check = (p.bits | pa.bits) & pc.bits
+        cross = ((p.full_mask & ~p.bits) | pa.bits) & pc.bits
+        # frozen: fill the fields and the cached views directly, once
+        vars(self).update(atoms=atoms, check_bits=check, cross_bits=cross, p=p, pc=pc, pa=pa)
+
+    @classmethod
+    def from_bits(cls, atoms: tuple[Atom, ...], check: int, cross: int) -> "PreferenceStructure":
+        """The structure with these check and cross sets over canonically ordered atoms."""
+        s = cls.__new__(cls)
+        vars(s).update(atoms=tuple(atoms), check_bits=check, cross_bits=cross)
+        return s
 
     @property
     def n(self) -> int:
         return len(self.atoms)
 
+    @property
+    def core_bits(self) -> int:
+        """Rows of the core P view, cross -> check."""
+        return (((1 << (1 << self.n)) - 1) & ~self.cross_bits) | self.check_bits
+
+    @cached_property
+    def p(self) -> Formula:
+        return self._view(self.core_bits, lambda w, l: implies_(l, w))
+
+    @cached_property
+    def pc(self) -> Formula:
+        return self._view(self.check_bits | self.cross_bits, or_)
+
+    @cached_property
+    def pa(self) -> Formula:
+        return self._view(self.check_bits & self.cross_bits, and_)
+
+    def _view(self, bits: int, join) -> Formula:
+        # above the cap, join the winner and loser minterm expansions unminimized
+        if self.n <= MAX_MINIMIZE_ATOMS:
+            return formula_of(TruthTable(self.atoms, bits))
+        winner, loser = (formula_of(TruthTable(self.atoms, side)).tree
+                         for side in (self.check_bits, self.cross_bits))
+        return Formula(join(winner, loser), self.atoms)
+
     def harmonized(self, atoms) -> "PreferenceStructure":
         merged = canonical_order(tuple(self.atoms) + tuple(canonical_order(atoms)))
         if merged == self.atoms:
             return self
-        return PreferenceStructure(
-            harmonize(self.p, merged), harmonize(self.pc, merged), harmonize(self.pa, merged)
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, PreferenceStructure):
-            return NotImplemented
-        return (self.atoms == other.atoms and self.p == other.p
-                and self.pc == other.pc and self.pa == other.pa)
-
-    def __hash__(self):
-        return hash((self.atoms, self.p.bits, self.pc.bits, self.pa.bits))
+        check, cross = (widen(bits, self.atoms, merged)
+                        for bits in (self.check_bits, self.cross_bits))
+        return PreferenceStructure.from_bits(merged, check, cross)
 
     def __str__(self):
         return (f"P := {render(self.p.tree)}; PC := {render(self.pc.tree)}; "
                 f"PA := {render(self.pa.tree)}")
+
+
+def _mark_column(check: int, cross: int, rows: int) -> tuple[str, ...]:
+    return tuple(MARKS[((check >> i) & 1) | (((cross >> i) & 1) << 1)] for i in range(rows))
 
 
 @dataclass(frozen=True)
@@ -101,29 +132,27 @@ class MarkTable:
         given = tuple(as_atom(a) for a in self.atoms)
         if len(set(given)) != len(given):
             raise PrefLogicError("duplicate atoms in mark-table order")
-        atoms = canonical_order(given)
         marks = tuple(self.marks)
-        if len(marks) != 1 << len(atoms):
+        if len(marks) != 1 << len(given):
             raise PrefLogicError(
-                f"expected {1 << len(atoms)} marks for {len(atoms)} atoms, got {len(marks)}"
+                f"expected {1 << len(given)} marks for {len(given)} atoms, got {len(marks)}"
             )
         bad = [m for m in marks if m not in MARKS]
         if bad:
             raise PrefLogicError(f"unknown marks: {sorted(set(bad))}")
-        if atoms != given:
-            perm = row_permutation(given, atoms)
-            remapped = [""] * len(marks)
-            for i, mark in enumerate(marks):
-                remapped[perm[i]] = mark
-            marks = tuple(remapped)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "marks", marks)
+        check, cross = (TruthTable(given, _bits_marked(marks, kind)) for kind in ("check", "cross"))
+        object.__setattr__(self, "atoms", check.atoms)
+        object.__setattr__(self, "marks", _mark_column(check.bits, cross.bits, len(marks)))
 
     def check_bits(self) -> int:
-        return sum(1 << i for i, m in enumerate(self.marks) if m in ("check", "both"))
+        return _bits_marked(self.marks, "check")
 
     def cross_bits(self) -> int:
-        return sum(1 << i for i, m in enumerate(self.marks) if m in ("cross", "both"))
+        return _bits_marked(self.marks, "cross")
+
+
+def _bits_marked(marks, kind: str) -> int:
+    return sum(1 << i for i, m in enumerate(marks) if m in (kind, "both"))
 
 
 def formula_forms(s: PreferenceStructure) -> tuple[Formula, Formula]:
@@ -137,38 +166,25 @@ def formula_forms(s: PreferenceStructure) -> tuple[Formula, Formula]:
 def implication_form(pw: Formula, pl: Formula) -> PreferenceStructure:
     """Build the structure whose forms are equivalent to (pw, pl).
 
-    Sets P := pl -> pw, PC := pw or pl, PA := pw and pl, each minimized
-    (left untouched beyond the minimization atom cap).  When pl is the
-    negation of pw this collapses to (pw, true, false).
+    Sets P := pl -> pw, PC := pw or pl, PA := pw and pl: within the
+    minimization atom cap as the minimized views of ``from_bits``, beyond
+    it as these trees unminimized.  When pl is the negation of pw this
+    collapses to (pw, true, false).
     """
     pw, pl = harmonize_pair(pw, pl)
-    p = Formula(implies_(pl.tree, pw.tree), pw.atoms)
-    pc = Formula(or_(pw.tree, pl.tree), pw.atoms)
-    pa = Formula(and_(pw.tree, pl.tree), pw.atoms)
     if len(pw.atoms) <= MAX_MINIMIZE_ATOMS:
-        p, pc, pa = minimize(p), minimize(pc), minimize(pa)
-    return PreferenceStructure(p, pc, pa)
+        return PreferenceStructure.from_bits(pw.atoms, pw.bits, pl.bits)
+    trees = (implies_(pl.tree, pw.tree), or_(pw.tree, pl.tree), and_(pw.tree, pl.tree))
+    return PreferenceStructure(*(Formula(t, pw.atoms) for t in trees))
 
 
 def to_marks(s: PreferenceStructure) -> MarkTable:
-    marks = []
-    for i in range(1 << s.n):
-        check = bool((s.check_bits >> i) & 1)
-        cross = bool((s.cross_bits >> i) & 1)
-        marks.append("both" if check and cross else "check" if check
-                     else "cross" if cross else "blank")
-    return MarkTable(s.atoms, tuple(marks))
+    return MarkTable(s.atoms, _mark_column(s.check_bits, s.cross_bits, 1 << s.n))
 
 
 def from_marks(m: MarkTable) -> PreferenceStructure:
-    """Rebuild a structure from a mark table (inverse of to_marks).
-
-    The check set becomes the winner formula, the cross set the loser
-    formula, combined through the implication form.
-    """
-    pw = formula_of(TruthTable(m.atoms, m.check_bits()))
-    pl = formula_of(TruthTable(m.atoms, m.cross_bits()))
-    return implication_form(pw, pl)
+    """Rebuild a structure from a mark table (inverse of to_marks)."""
+    return PreferenceStructure.from_bits(m.atoms, m.check_bits(), m.cross_bits())
 
 
 def _aligned(s1: PreferenceStructure, s2: PreferenceStructure):

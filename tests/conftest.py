@@ -11,8 +11,17 @@ from __future__ import annotations
 import itertools
 import random
 
-from preflogic import Expr, Formula, TruthTable, formula_of, implication_form
+from preflogic import (
+    Expr,
+    Formula,
+    PreferenceStructure,
+    TruthTable,
+    formula_of,
+    implication_form,
+    minimize,
+)
 from preflogic.atoms import Atom
+from preflogic.logic import MAX_MINIMIZE_ATOMS, and_, harmonize_pair, implies_, or_
 
 
 def eval_expr(node: Expr, assignment: dict[Atom, bool]) -> bool:
@@ -107,6 +116,22 @@ def structure_from_bits(atoms, check: int, cross: int):
     return implication_form(
         formula_of(TruthTable(atoms, check)), formula_of(TruthTable(atoms, cross))
     )
+
+
+def eager_implication_form(pw: Formula, pl: Formula):
+    """The implication form built eagerly: the reference for the lazy views.
+
+    Sets P := pl -> pw, PC := pw or pl, PA := pw and pl, each minimized
+    (left untouched beyond the minimization atom cap), and keeps them as
+    the structure's given formulas.
+    """
+    pw, pl = harmonize_pair(pw, pl)
+    p = Formula(implies_(pl.tree, pw.tree), pw.atoms)
+    pc = Formula(or_(pw.tree, pl.tree), pw.atoms)
+    pa = Formula(and_(pw.tree, pl.tree), pw.atoms)
+    if len(pw.atoms) <= MAX_MINIMIZE_ATOMS:
+        p, pc, pa = minimize(p), minimize(pc), minimize(pa)
+    return PreferenceStructure(p, pc, pa)
 
 
 def random_weights(rng: random.Random, atoms, lo: float = 0.01, hi: float = 0.99) -> dict:

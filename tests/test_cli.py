@@ -1,4 +1,5 @@
 import json
+import time
 
 from preflogic.cli import main
 
@@ -211,3 +212,12 @@ def test_custom_catalog_flag(capsys, tmp_path):
     code, out, _ = run(capsys, "--catalog", str(path), "catalog", "list")
     assert code == 0
     assert "mini" in out and "CPO" not in out
+
+
+def test_huge_exponent_exits_2_before_expanding(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "decompile", "--loss", "p(theta,yw)^2000000 / p(theta,yl)")
+    elapsed = time.perf_counter() - start
+    assert code == 2 and out == ""
+    assert "a term of 2000000 literals exceeds MAX_ATOMS = 16" in err
+    assert elapsed < 0.5

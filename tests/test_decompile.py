@@ -26,7 +26,7 @@ from preflogic import (
 from preflogic.atoms import Atom, canonical_order
 from preflogic.poly import Literal, Polynomial, Term
 
-from conftest import assignment_for, random_weights, structure_from_bits
+from conftest import assignment_for, random_bits, random_weights, structure_from_bits
 
 W, L = "theta:yw", "theta:yl"
 WL = canonical_order([W, L])
@@ -257,3 +257,31 @@ def test_no_single_formula_expresses_the_win_lose_ratio():
                 matched_everywhere = False
                 break
         assert not matched_everywhere
+
+
+# ---------------------------------------------------------------------------
+# equation text round trip: compile -> render -> parse -> decompile
+
+
+def round_trips(s):
+    back = decompile(parse_equation(compile_equation(s).render()))
+    return pref_equivalent(back, s)
+
+
+def test_every_compilable_two_atom_column_round_trips_through_equation_text():
+    columns = [(check, cross) for check in range(1, 16) for cross in range(1, 16)]
+    assert len(columns) == 225
+    for check, cross in columns:
+        assert round_trips(structure_from_bits(WL, check, cross)), (check, cross)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_full_row_sides_round_trip_through_equation_text(n):
+    # a side holding every row compiles to the empty product "1"
+    atoms = canonical_order(["theta:yw", "theta:yl", "ref:yw", "ref:yl"][:n])
+    full = (1 << (1 << n)) - 1
+    rng = random.Random(f"full-row-sides/{n}")
+    for k in range(60):
+        other = random_bits(rng, n, nonzero=True)
+        check, cross = [(full, other), (other, full), (full, full)][k % 3]
+        assert round_trips(structure_from_bits(atoms, check, cross)), (check, cross)

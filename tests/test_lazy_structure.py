@@ -1,0 +1,220 @@
+"""A structure is its (check, cross) pair; P, PC and PA are views of it.
+
+The differential tests print lazily built structures and compare them with
+the eager implication form in conftest, which minimizes P, PC and PA as
+soon as a structure is built.  The laziness tests count calls into the
+exact minimizer.
+"""
+
+import random
+import warnings
+from importlib import resources
+
+import pytest
+
+from preflogic import (
+    Formula,
+    LatticeSpec,
+    MarkTable,
+    PreferenceStructure,
+    TruthTable,
+    WeightMap,
+    compile_equation,
+    decompile,
+    enumerate_between,
+    export_dot,
+    formula_of,
+    from_marks,
+    hasse,
+    load_catalog,
+    loss_ratio,
+    parse_equation,
+    parse_formula,
+    pref_entails,
+    reference_structure,
+    sem,
+    structure_to_json,
+)
+from preflogic import logic
+from preflogic.atoms import Atom, canonical_order
+from preflogic.logic import and_, var, widen
+from preflogic.prefstruct import MARKS
+
+from conftest import eager_implication_form, random_bits
+
+POOL = canonical_order(["theta:yw", "theta:yl", "ref:yw", "ref:yl", "mref:yw", "mref:yl", "aux:yw"])
+
+
+def column(atoms, check, cross):
+    return tuple(MARKS[((check >> i) & 1) + 2 * ((cross >> i) & 1)] for i in range(1 << len(atoms)))
+
+
+def eager_from_marks(m):
+    return eager_implication_form(formula_of(TruthTable(m.atoms, m.check_bits())),
+                                  formula_of(TruthTable(m.atoms, m.cross_bits())))
+
+
+def eager_decompile(eq):
+    atoms = eq.atoms()
+    return eager_implication_form(sem(eq.top, atoms), sem(eq.bottom, atoms))
+
+
+def eager_reference_structure(s):
+    ref_w, ref_l = Atom("ref", "yw"), Atom("ref", "yl")
+    atoms = canonical_order(tuple(s.atoms) + (ref_w, ref_l))
+    winner = formula_of(TruthTable(s.atoms, s.check_bits))
+    loser = formula_of(TruthTable(s.atoms, s.cross_bits))
+    return eager_implication_form(Formula(and_(winner.tree, var(ref_l)), atoms),
+                                  Formula(and_(loser.tree, var(ref_w)), atoms))
+
+
+def assert_prints_as(lazy, eager):
+    assert lazy == eager
+    assert str(lazy) == str(eager)
+    assert structure_to_json(lazy) == structure_to_json(eager)
+
+
+def guarded(rng, n):
+    """A uniform column over n - 2 atoms with its winner rows guarded by
+    ref:yl and its loser rows by ref:yw, as reference_structure builds them.
+
+    Uniform five- and six-atom columns can spend seconds to minutes in the
+    minimizer's Petrick expansion, so wide columns take this loss shape.
+    """
+    base = tuple(a for a in POOL if a.model != "ref")[:n - 2]
+    atoms = canonical_order(base + (Atom("ref", "yw"), Atom("ref", "yl")))
+    check, cross = (widen(random_bits(rng, n - 2), base, atoms) for _ in range(2))
+    return (atoms, check & logic._var_mask(atoms.index(Atom("ref", "yl")), n),
+            cross & logic._var_mask(atoms.index(Atom("ref", "yw")), n))
+
+
+def check_column(given, check, cross):
+    """from_marks of a column listed under ``given``, in any atom order, prints as the eager build."""
+    m = MarkTable(given, column(given, check, cross))
+    assert_prints_as(from_marks(m), eager_from_marks(m))
+
+
+def test_every_two_atom_column_prints_as_eager():
+    atoms = POOL[:2]
+    for check in range(16):
+        for cross in range(16):
+            check_column(atoms, check, cross)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_seeded_columns_print_as_eager(n):
+    rng = random.Random(f"lazy-views/{n}")
+    for _ in range(200):
+        if n < 5:
+            given = list(POOL[:n])
+            rng.shuffle(given)
+            check_column(tuple(given), random_bits(rng, n), random_bits(rng, n))
+        else:
+            check_column(*guarded(rng, n))
+
+
+def test_catalog_decompile_and_reference_print_as_eager():
+    catalog = load_catalog()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # some entries already mention ref atoms
+        for entry in catalog.entries.values():
+            lazy = decompile(entry.equation)
+            assert_prints_as(lazy, eager_decompile(entry.equation))
+            assert_prints_as(reference_structure(lazy), eager_reference_structure(lazy))
+            assert_prints_as(reference_structure(entry.structure),
+                             eager_reference_structure(entry.structure))
+
+
+def test_seven_atom_column_prints_as_eager():
+    rng = random.Random("lazy-views/7")
+    given = list(POOL)
+    rng.shuffle(given)
+    check_column(tuple(given), random_bits(rng, 7), random_bits(rng, 7))
+
+
+def test_wide_decompile_prints_as_eager():
+    eq = parse_equation("p(theta,yw)^2*p(ref,yl)^2 / (p(theta,yl)^2*p(ref,yw)^2)")
+    lazy = decompile(eq)
+    assert lazy.n == 8
+    assert_prints_as(lazy, eager_decompile(eq))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert_prints_as(reference_structure(lazy), eager_reference_structure(lazy))
+
+
+def test_catalog_structures_are_their_bit_pairs():
+    for entry in load_catalog().entries.values():
+        s = entry.structure
+        bits = PreferenceStructure.from_bits(s.atoms, s.check_bits, s.cross_bits)
+        assert s == bits and hash(s) == hash(bits)
+
+
+def test_given_formulas_are_kept_for_display():
+    atoms = POOL[:2]
+    p = parse_formula("(implies theta:yl theta:yw)", atoms)
+    s = PreferenceStructure(p, parse_formula("true", atoms), parse_formula("false", atoms))
+    assert str(s) == "P := (implies theta:yl theta:yw); PC := true; PA := false"
+    view = PreferenceStructure.from_bits(s.atoms, s.check_bits, s.cross_bits)
+    assert view == s
+    assert str(view) == "P := (or (not theta:yl) theta:yw); PC := true; PA := false"
+
+
+def test_structures_stay_immutable():
+    s = PreferenceStructure.from_bits(POOL[:2], 0b1100, 0b1010)
+    for name in ("atoms", "check_bits", "cross_bits"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, 0)
+
+
+# ---------------------------------------------------------------------------
+# laziness: nothing but printing runs the minimizer
+
+
+@pytest.fixture
+def minimizer_calls(monkeypatch):
+    calls = []
+    original = logic._min_cover_patterns
+
+    def counted(bits, n):
+        calls.append((bits, n))
+        return original(bits, n)
+
+    monkeypatch.setattr(logic, "_min_cover_patterns", counted)
+    return calls
+
+
+def test_loading_a_catalog_minimizes_nothing(minimizer_calls, tmp_path):
+    path = tmp_path / "catalog.json"
+    path.write_text(resources.files("preflogic").joinpath("catalog.json").read_text("utf-8"),
+                    encoding="utf-8")
+    catalog = load_catalog(str(path))
+    assert len(catalog.entries) == len(load_catalog().entries)
+    assert minimizer_calls == []
+
+
+def test_building_evaluating_and_comparing_minimize_nothing(minimizer_calls):
+    rng = random.Random("lazy-calls")
+    entries = list(load_catalog().entries.values())
+    minimizer_calls.clear()
+    for entry in entries:
+        s = from_marks(entry.marks)
+        eq = compile_equation(s)
+        back = decompile(parse_equation(eq.render()))
+        w = WeightMap({a.base(): rng.uniform(0.05, 0.95) for a in s.atoms})
+        assert loss_ratio(back, w) == pytest.approx(loss_ratio(s, w), abs=1e-12)
+        for other in entries:
+            pref_entails(s, other.structure)
+    wide = decompile(parse_equation("p(theta,yw)^4*p(ref,yl)^3 / (p(theta,yl)^4*p(ref,yw)^3)"))
+    assert wide.n == 14
+    assert minimizer_calls == []
+
+
+def test_lattices_minimize_nothing_but_one_core_per_dot_cluster(minimizer_calls):
+    atoms = POOL[:2]
+    lower = PreferenceStructure.from_bits(atoms, 0, (1 << 4) - 1)
+    upper = PreferenceStructure.from_bits(atoms, (1 << 4) - 1, 0)
+    nodes = enumerate_between(LatticeSpec(lower, upper, nontrivial_only=False))
+    edges = hasse(nodes)
+    assert len(nodes) == 256 and minimizer_calls == []
+    dot = export_dot(nodes, edges)
+    assert len(minimizer_calls) <= 3 * dot.count("subgraph cluster_")

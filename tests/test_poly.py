@@ -15,7 +15,9 @@ from preflogic import (
     simpo_margin_weights,
 )
 from preflogic.atoms import Atom
+from preflogic.logic import MAX_ATOMS
 from preflogic.errors import (
+    AtomLimitError,
     EquationSyntaxError,
     MissingWeightError,
     NonDisjointError,
@@ -313,3 +315,23 @@ def test_copy_gate_disables_squared_penalty():
     penalized = math.log(eval_poly(eq.top, w2) / eval_poly(eq.bottom, w2))
     base2 = math.log(eval_poly(plain.top, w2) / eval_poly(plain.bottom, w2))
     assert penalized < base2
+
+
+def test_term_of_max_atoms_literals_parses():
+    eq = parse_equation(f"p(theta,yw)^{MAX_ATOMS - 4}*p(theta,yl)^4 / p(ref,yw)")
+    assert [len(t.literals) for t in eq.top.terms] == [MAX_ATOMS]
+
+
+@pytest.mark.parametrize("text", [
+    f"p(theta,yw)^{MAX_ATOMS + 1} / p(theta,yl)",
+    f"p(theta,yl) / (p(theta,yw)^{MAX_ATOMS - 4}*p(ref,yw)^5)",
+])
+def test_term_past_max_atoms_is_refused_before_expansion(text):
+    with pytest.raises(AtomLimitError, match=f"exceeds MAX_ATOMS = {MAX_ATOMS}"):
+        parse_equation(text)
+
+
+def test_make_multilinear_sums_exponents_per_term():
+    with pytest.raises(AtomLimitError, match="a term of 17 literals"):
+        make_multilinear([[(W, True, 9), (W, True, 8)]])
+    assert len(make_multilinear([[(W, True, 8), (L, False, 8)]]).terms[0].literals) == 16
