@@ -15,9 +15,11 @@ from dataclasses import dataclass
 from . import catalog as catalog_mod
 from .decompile import decompile, reference_structure
 from .errors import (
+    EquationSyntaxError,
     NonDisjointError,
     PrefLogicError,
     TrivialStructureError,
+    UnknownLossError,
 )
 from .lattice import LatticeSpec, enumerate_between, export_dot, hasse
 from .poly import F_KINDS, WeightMap, dpop_gate, parse_equation
@@ -87,13 +89,17 @@ def _structure_text(s, name=None) -> str:
 
 
 def cmd_decompile(args, config: Config) -> int:
+    """A catalog name or alias resolves first; anything else is parsed as an equation."""
     spec = args.loss
     cat = _catalog(config)
-    if "/" in spec or "p(" in spec:
-        equation = parse_equation(spec)
-    else:
-        entry, _ = cat.resolve(spec)
-        equation = entry.equation
+    try:
+        equation = cat.resolve(spec)[0].equation
+    except UnknownLossError as name_error:
+        try:
+            equation = parse_equation(spec)
+        except EquationSyntaxError as parse_error:
+            raise PrefLogicError(f"--loss is neither a catalog name ({name_error}) "
+                                 f"nor an equation ({parse_error})") from None
     structure = decompile(equation)
     if args.reference:
         structure = reference_structure(structure)

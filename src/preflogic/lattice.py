@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 from .atoms import canonical_order
 from .errors import AtomLimitError, BoundViolationError, PrefLogicError
-from .prefstruct import (  # implication_form stays importable here for callers that patch it
-    PreferenceStructure,
-    implication_form,
-    is_nontrivial,
-    pref_entails,
-)
+from .prefstruct import PreferenceStructure, is_nontrivial, pref_entails
 
 MAX_LATTICE_ATOMS = 4
 MAX_INTERVAL = 1 << 12  # structures per interval or Hasse input, inside the atom cap

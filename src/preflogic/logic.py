@@ -18,6 +18,7 @@ with arities: not 1, and/or >= 2, implies/xor exactly 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .atoms import Atom, as_atom, canonical_order
 from .errors import AtomLimitError, FormulaSyntaxError, UndeclaredAtomError
@@ -100,24 +101,50 @@ def sop_tree(cubes) -> Expr:
     return join("or", [join("and", [literal(*lit) for lit in cube], TRUE) for cube in cubes], FALSE)
 
 
-def _var_mask(j: int, n: int) -> int:
-    # bitmask of assignments where atom j is true; atom j owns bit (n-1-j) of i
-    block = 1 << (n - 1 - j)
-    seg = (1 << block) - 1
-    mask = 0
-    for start in range(block, 1 << n, 2 * block):
-        mask |= seg << start
-    return mask
+@lru_cache(maxsize=MAX_ATOMS + 1)
+def var_masks(n: int) -> tuple[int, ...]:
+    """Row bitmask of each of n atoms: the assignments where atom j is true.
+
+    Atom j owns bit b = 2^(n-1-j) of the row index, so its mask repeats a
+    block of b false rows then b true rows: that 2b-bit block times the
+    number whose 2b-bit digits are all 1.  Computed once per n.
+    """
+    full = (1 << (1 << n)) - 1
+    return tuple(full // ((1 << 2 * b) - 1) * (((1 << b) - 1) << b)
+                 for b in (1 << (n - 1 - j) for j in range(n)))
 
 
-def _tree_bits(node: Expr, index: dict[Atom, int], n: int, full: int) -> int:
+# A cube, a product of literals, is one (care, value) integer pair over an
+# ordered atom list, with atom j on bit (n-1-j) as in a row index: care holds
+# the atoms the cube mentions and value their required truth.  Row m
+# satisfies the cube when m & care == value.
+
+
+def cube_rows(care: int, value: int, n: int) -> int:
+    """Row bitmask of a cube over n atoms."""
+    rows = (1 << (1 << n)) - 1
+    for j, mask in enumerate(var_masks(n)):
+        bit = 1 << (n - 1 - j)
+        if care & bit:
+            rows &= mask if value & bit else ~mask
+    return rows
+
+
+def cube_literals(care: int, value: int, atoms) -> list[tuple[Atom, bool]]:
+    """The cube's (atom, positive) literals in atom order."""
+    n = len(atoms)
+    return [(a, bool(value >> (n - 1 - j) & 1))
+            for j, a in enumerate(atoms) if care >> (n - 1 - j) & 1]
+
+
+def _tree_bits(node: Expr, mask_of: dict[Atom, int], full: int) -> int:
     if node.op == "atom":
-        return _var_mask(index[node.atom], n)
+        return mask_of[node.atom]
     if node.op == "true":
         return full
     if node.op == "false":
         return 0
-    kids = [_tree_bits(a, index, n, full) for a in node.args]
+    kids = [_tree_bits(a, mask_of, full) for a in node.args]
     if node.op == "not":
         return full & ~kids[0]
     if node.op == "and":
@@ -155,9 +182,8 @@ class Formula:
         if missing:
             toks = ", ".join(sorted(a.token() for a in missing))
             raise UndeclaredAtomError(f"formula mentions undeclared atoms: {toks}")
-        index = {a: j for j, a in enumerate(atoms)}
-        full = (1 << (1 << n)) - 1
-        object.__setattr__(self, "bits", _tree_bits(self.tree, index, n, full))
+        mask_of = dict(zip(atoms, var_masks(n)))
+        object.__setattr__(self, "bits", _tree_bits(self.tree, mask_of, (1 << (1 << n)) - 1))
 
     @property
     def n(self) -> int:
@@ -350,10 +376,12 @@ def models_of(f: Formula) -> TruthTable:
     return TruthTable(f.atoms, f.bits)
 
 
+@lru_cache(maxsize=256)
 def formula_of(t: TruthTable) -> Formula:
     """A formula whose model set equals t, printed as a minimal sum of products.
 
     Above the minimization cap the raw minterm expansion is returned instead.
+    Memoized on (atoms, bits): printed views ask for the same few tables often.
     """
     n = t.n
     full = (1 << (1 << n)) - 1
@@ -364,7 +392,7 @@ def formula_of(t: TruthTable) -> Formula:
     if n <= MAX_MINIMIZE_ATOMS:
         patterns = _min_cover_patterns(t.bits, n)
     else:
-        patterns = [_minterm_pattern(i, n) for i in _iter_bits(t.bits)]
+        patterns = [_pattern((1 << n) - 1, i, n) for i in _iter_bits(t.bits)]
     cubes = ([(a, c == "1") for a, c in zip(t.atoms, p) if c != "-"] for p in sorted(patterns))
     return Formula(sop_tree(cubes), t.atoms)
 
@@ -395,11 +423,12 @@ def entails_formula(f1: Formula, f2: Formula) -> bool:
 # ---------------------------------------------------------------------------
 # exact two-level minimization
 #
-# Quine-McCluskey with essential primes plus Petrick expansion.  Cubes are
-# pattern strings over the canonical atom order, one char per atom:
-# '1' positive literal, '0' negated literal, '-' absent.  Ties between
-# minimum covers break on fewer implicants, then fewer total literals,
-# then the lexicographically smallest sorted pattern tuple.
+# Quine-McCluskey with essential primes plus Petrick expansion, over
+# integer cubes.  Results are printed as pattern strings over the canonical
+# atom order, one char per atom: '1' positive literal, '0' negated literal,
+# '-' absent.  Ties between minimum covers break on fewer implicants, then
+# fewer total literals, then the lexicographically smallest sorted pattern
+# tuple.
 
 
 def _iter_bits(bits: int):
@@ -409,52 +438,35 @@ def _iter_bits(bits: int):
         bits ^= low
 
 
-def _minterm_pattern(i: int, n: int) -> str:
-    return "".join("1" if (i >> (n - 1 - j)) & 1 else "0" for j in range(n))
+def _pattern(care: int, value: int, n: int) -> str:
+    return "".join("-" if not care >> k & 1 else "1" if value >> k & 1 else "0"
+                   for k in range(n - 1, -1, -1))
 
 
-def _try_merge(a: str, b: str) -> str | None:
-    diff = -1
-    for k, (x, y) in enumerate(zip(a, b)):
-        if x != y:
-            if x == "-" or y == "-" or diff >= 0:
-                return None
-            diff = k
-    if diff < 0:
-        return None
-    return a[:diff] + "-" + a[diff + 1:]
+def _prime_implicants(minterms: list[int], n: int) -> set[tuple[int, int]]:
+    """Prime cubes of the minterm set.
 
-
-def _prime_implicants(minterms: list[int], n: int) -> list[str]:
-    current = {_minterm_pattern(i, n) for i in minterms}
-    primes: set[str] = set()
+    Each round merges a cube with its partner at value | b, for each bit b
+    it holds at 0, into the cube that drops b; a cube merging with none is
+    prime.
+    """
+    current = {((1 << n) - 1, m) for m in minterms}
+    primes: set[tuple[int, int]] = set()
     while current:
         merged = set()
         used = set()
-        by_ones: dict[int, list[str]] = {}
-        for p in current:
-            by_ones.setdefault(p.count("1"), []).append(p)
-        for ones, group in sorted(by_ones.items()):
-            for a in group:
-                for b in by_ones.get(ones + 1, ()):
-                    m = _try_merge(a, b)
-                    if m is not None:
-                        merged.add(m)
-                        used.add(a)
-                        used.add(b)
+        for care, value in current:
+            zeros = care & ~value
+            while zeros:
+                b = zeros & -zeros
+                zeros ^= b
+                if (care, value | b) in current:
+                    merged.add((care & ~b, value))
+                    used.add((care, value))
+                    used.add((care, value | b))
         primes |= current - used
         current = merged
-    return sorted(primes)
-
-
-def _covers(pattern: str, minterm: int, n: int) -> bool:
-    for j, c in enumerate(pattern):
-        if c == "-":
-            continue
-        bit = (minterm >> (n - 1 - j)) & 1
-        if c != str(bit):
-            return False
-    return True
+    return primes
 
 
 def _absorb(sets) -> list[frozenset[int]]:
@@ -483,8 +495,10 @@ def _petrick(requirements: list[frozenset[int]]) -> list[frozenset[int]]:
 
 def _min_cover_patterns(bits: int, n: int) -> list[str]:
     minterms = list(_iter_bits(bits))
-    primes = _prime_implicants(minterms, n)
-    covering = {m: frozenset(i for i, p in enumerate(primes) if _covers(p, m, n)) for m in minterms}
+    cubes = sorted(_prime_implicants(minterms, n), key=lambda cube: _pattern(*cube, n))
+    primes = [_pattern(*cube, n) for cube in cubes]
+    covering = {m: frozenset(i for i, (care, value) in enumerate(cubes) if m & care == value)
+                for m in minterms}
 
     # iterate essential primes and row dominance until the core is cyclic;
     # a row whose covering set contains another row's is implied by it and
@@ -517,7 +531,7 @@ def _min_cover_patterns(bits: int, n: int) -> list[str]:
         covers = [set(chosen)]
 
     def literals(cover):
-        return sum(n - primes[i].count("-") for i in cover)
+        return sum(cubes[i][0].bit_count() for i in cover)
 
     best = min(covers, key=lambda c: (len(c), literals(c), tuple(sorted(primes[i] for i in c))))
     return sorted(primes[i] for i in best)

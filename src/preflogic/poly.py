@@ -30,7 +30,7 @@ from .errors import (
     NonDisjointError,
     PrefLogicError,
 )
-from .logic import MAX_ATOMS
+from .logic import MAX_ATOMS, cube_rows
 
 WEIGHT_EPSILON = 1e-12  # weights are clamped into [eps, 1 - eps] before use
 
@@ -66,12 +66,6 @@ class Term:
                 raise PrefLogicError(f"term uses atom {l.atom.token()} more than once")
             seen.add(l.atom)
         object.__setattr__(self, "literals", lits)
-
-    def polarity(self, atom: Atom) -> bool | None:
-        for l in self.literals:
-            if l.atom == atom:
-                return l.positive
-        return None
 
     def render(self) -> str:
         if not self.literals:
@@ -217,18 +211,43 @@ def check_disjoint(p: Polynomial):
     """None when every term pair conflicts on some atom, else the offending pair.
 
     The returned violation is ((i, term_i), (j, term_j)) for the first pair
-    of terms sharing a satisfying assignment.
+    of terms sharing a satisfying assignment: smallest i, then smallest j.
+    Each term's row mask is ORed into a running mask of the rows seen so
+    far; the pair is looked for only once some mask meets it.  A polynomial
+    over more than MAX_ATOMS atoms is refused before any mask is built.
     """
-    for i in range(len(p.terms)):
-        for j in range(i + 1, len(p.terms)):
-            a, b = p.terms[i], p.terms[j]
-            conflict = any(
-                (pb := b.polarity(l.atom)) is not None and pb != l.positive
-                for l in a.literals
-            )
-            if not conflict:
-                return ((i, a), (j, b))
-    return None
+    # each term as a (care, value) cube, atoms numbered as first met: the
+    # order of the atoms does not change which rows meet
+    bit: dict[Atom, int] = {}
+    cubes = []
+    for t in p.terms:
+        care = value = 0
+        for l in t.literals:
+            b = bit.setdefault(l.atom, 1 << len(bit))
+            care |= b
+            if l.positive:
+                value |= b
+        cubes.append((care, value))
+    n = len(bit)
+    if n > MAX_ATOMS:
+        raise AtomLimitError(f"a polynomial over {n} atoms exceeds MAX_ATOMS = {MAX_ATOMS}")
+    seen = 0
+    for care, value in cubes:
+        rows = cube_rows(care, value, n)
+        if seen & rows:
+            break
+        seen |= rows
+    else:
+        return None
+    # some pair meets: i is the smallest term meeting a later one, j its first such partner
+    later = 0
+    for k in reversed(range(len(cubes))):
+        rows = cube_rows(*cubes[k], n)
+        if rows & later:
+            i, first = k, rows
+        later |= rows
+    j = next(j for j in range(i + 1, len(cubes)) if cube_rows(*cubes[j], n) & first)
+    return (i, p.terms[i]), (j, p.terms[j])
 
 
 def _require_disjoint(p: Polynomial, side: str) -> None:

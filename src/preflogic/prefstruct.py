@@ -25,7 +25,6 @@ from .logic import (
     MAX_MINIMIZE_ATOMS,
     Formula,
     TruthTable,
-    _var_mask,
     and_,
     formula_of,
     harmonize,
@@ -35,6 +34,7 @@ from .logic import (
     or_,
     parse_formula,
     render,
+    var_masks,
     widen,
 )
 
@@ -218,7 +218,7 @@ def support_key(s: PreferenceStructure) -> tuple:
     for j in reversed(range(len(atoms))):
         n = len(atoms)
         half = 1 << (n - 1 - j)
-        high = _var_mask(j, n)
+        high = var_masks(n)[j]
         if any(((bits & high) >> half) != (bits & ~high) for bits in (check, cross)):
             continue
         check, cross = _project_out(check, half, 1 << n), _project_out(cross, half, 1 << n)

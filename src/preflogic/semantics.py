@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from .errors import TrivialStructureError, ZeroCountError
-from .logic import Formula, minimize
+from .logic import Formula, cube_literals, minimize, var_masks
 from .poly import F_KINDS, Literal, LossEquation, Polynomial, Term, WeightMap
 from .prefstruct import PreferenceStructure
 
@@ -103,45 +103,37 @@ def loss_value(s: PreferenceStructure, w: WeightMap, f_kind: str = "sl-log",
 # structure -> equation
 
 
-def _disjoint_cover(bits: int, atoms) -> list[dict[int, int]]:
-    """Pairwise-disjoint cubes covering the given row set.
+def _disjoint_cover(bits: int, n: int) -> list[tuple[int, int]]:
+    """Pairwise-disjoint (care, value) cubes covering the given row set.
 
     Shannon expansion, splitting on the last atom first and skipping atoms
     the set does not depend on; branches are disjoint by construction.
     """
-    n = len(atoms)
+    masks = var_masks(n)
 
-    def recurse(minterms: frozenset[int], fixed: dict[int, int], free: list[int]):
-        if not minterms:
+    def recurse(rows: int, care: int, value: int, free: list[int]):
+        if not rows:
             return []
-        if len(minterms) == 1 << len(free):
-            return [dict(fixed)]
+        if rows.bit_count() == 1 << len(free):
+            return [(care, value)]
         for pick, j in enumerate(free):
-            bit = 1 << (n - 1 - j)
-            ones = frozenset(m for m in minterms if m & bit)
-            zeros = minterms - ones
-            if {m & ~bit for m in ones} == zeros:
-                rest = free[:pick] + free[pick + 1:]
-                return recurse(zeros, fixed, rest)
+            ones = rows & masks[j]
+            if ones >> (1 << (n - 1 - j)) == rows ^ ones:  # the same rows either way
+                return recurse(rows ^ ones, care, value, free[:pick] + free[pick + 1:])
         j = free[0]
         bit = 1 << (n - 1 - j)
-        ones = frozenset(m for m in minterms if m & bit)
-        zeros = minterms - ones
-        rest = free[1:]
-        out = recurse(ones, {**fixed, j: 1}, rest)
-        out.extend(recurse(zeros, {**fixed, j: 0}, rest))
+        ones = rows & masks[j]
+        out = recurse(ones, care | bit, value | bit, free[1:])
+        out.extend(recurse(rows ^ ones, care | bit, value, free[1:]))
         return out
 
-    rows = frozenset(i for i in range(1 << n) if (bits >> i) & 1)
-    return recurse(rows, {}, list(range(n))[::-1])
+    return recurse(bits, 0, 0, list(range(n))[::-1])
 
 
 def _cover_polynomial(bits: int, atoms) -> Polynomial:
-    terms = []
-    for cube in _disjoint_cover(bits, atoms):
-        lits = tuple(Literal(atoms[j], bool(v)) for j, v in cube.items())
-        terms.append(Term(lits))
-    return Polynomial(tuple(terms))
+    cubes = _disjoint_cover(bits, len(atoms))
+    return Polynomial(tuple(Term(tuple(Literal(*lit) for lit in cube_literals(*c, atoms)))
+                            for c in cubes))
 
 
 def compile_equation(s: PreferenceStructure, f_kind: str = "sl-log",

@@ -21,7 +21,7 @@ from preflogic import (
     minimize,
 )
 from preflogic.atoms import Atom
-from preflogic.logic import MAX_MINIMIZE_ATOMS, and_, harmonize_pair, implies_, or_
+from preflogic.logic import MAX_MINIMIZE_ATOMS, _petrick, and_, harmonize_pair, implies_, or_
 
 
 def eval_expr(node: Expr, assignment: dict[Atom, bool]) -> bool:
@@ -182,4 +182,132 @@ def first_equivalent_pair(structures) -> tuple[int, int] | None:
     for i, j in itertools.combinations(range(len(rows)), 2):
         if rows[i] == rows[j]:
             return i, j
+    return None
+
+
+# ---------------------------------------------------------------------------
+# The cube paths that integer (care, value) cubes replaced, kept as the
+# references of the differential tests: Quine-McCluskey over '01-' pattern
+# strings, the Shannon cover over frozensets of minterms, and the pairwise
+# disjointness scan.
+
+
+def _minterm_pattern(i: int, n: int) -> str:
+    return "".join("1" if (i >> (n - 1 - j)) & 1 else "0" for j in range(n))
+
+
+def _try_merge(a: str, b: str) -> str | None:
+    diff = -1
+    for k, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            if x == "-" or y == "-" or diff >= 0:
+                return None
+            diff = k
+    if diff < 0:
+        return None
+    return a[:diff] + "-" + a[diff + 1:]
+
+
+def _string_prime_implicants(minterms: list[int], n: int) -> list[str]:
+    current = {_minterm_pattern(i, n) for i in minterms}
+    primes: set[str] = set()
+    while current:
+        merged = set()
+        used = set()
+        by_ones: dict[int, list[str]] = {}
+        for p in current:
+            by_ones.setdefault(p.count("1"), []).append(p)
+        for ones, group in sorted(by_ones.items()):
+            for a in group:
+                for b in by_ones.get(ones + 1, ()):
+                    m = _try_merge(a, b)
+                    if m is not None:
+                        merged.add(m)
+                        used.add(a)
+                        used.add(b)
+        primes |= current - used
+        current = merged
+    return sorted(primes)
+
+
+def _covers(pattern: str, minterm: int, n: int) -> bool:
+    for j, c in enumerate(pattern):
+        if c == "-":
+            continue
+        bit = (minterm >> (n - 1 - j)) & 1
+        if c != str(bit):
+            return False
+    return True
+
+
+def string_min_cover_patterns(bits: int, n: int) -> list[str]:
+    """The minimizer over '01-' pattern strings, as it was before integer cubes."""
+    minterms = [i for i in range(1 << n) if (bits >> i) & 1]
+    primes = _string_prime_implicants(minterms, n)
+    covering = {m: frozenset(i for i, p in enumerate(primes) if _covers(p, m, n)) for m in minterms}
+    chosen: set[int] = set()
+    remaining = set(minterms)
+    while True:
+        forced = {next(iter(covering[m])) for m in remaining if len(covering[m]) == 1}
+        forced -= chosen
+        if forced:
+            chosen |= forced
+            remaining = {m for m in remaining if not (covering[m] & chosen)}
+            continue
+        rows = sorted(remaining, key=lambda m: (len(covering[m]), m))
+        dropped = set()
+        for a_pos, a in enumerate(rows):
+            if a in dropped:
+                continue
+            for b in rows[a_pos + 1:]:
+                if b not in dropped and covering[a] <= covering[b]:
+                    dropped.add(b)
+        if not dropped:
+            break
+        remaining -= dropped
+    if remaining:
+        covers = [chosen | extra for extra in _petrick([covering[m] for m in sorted(remaining)])]
+    else:
+        covers = [set(chosen)]
+
+    def literals(cover):
+        return sum(n - primes[i].count("-") for i in cover)
+
+    best = min(covers, key=lambda c: (len(c), literals(c), tuple(sorted(primes[i] for i in c))))
+    return sorted(primes[i] for i in best)
+
+
+def frozenset_disjoint_cover(bits: int, n: int) -> list[dict[int, int]]:
+    """The Shannon cover over frozensets of minterms, as {atom index: value} cubes."""
+
+    def recurse(minterms: frozenset[int], fixed: dict[int, int], free: list[int]):
+        if not minterms:
+            return []
+        if len(minterms) == 1 << len(free):
+            return [dict(fixed)]
+        for pick, j in enumerate(free):
+            bit = 1 << (n - 1 - j)
+            ones = frozenset(m for m in minterms if m & bit)
+            zeros = minterms - ones
+            if {m & ~bit for m in ones} == zeros:
+                return recurse(zeros, fixed, free[:pick] + free[pick + 1:])
+        j = free[0]
+        bit = 1 << (n - 1 - j)
+        ones = frozenset(m for m in minterms if m & bit)
+        out = recurse(ones, {**fixed, j: 1}, free[1:])
+        out.extend(recurse(minterms - ones, {**fixed, j: 0}, free[1:]))
+        return out
+
+    rows = frozenset(i for i in range(1 << n) if (bits >> i) & 1)
+    return recurse(rows, {}, list(range(n))[::-1])
+
+
+def pairwise_check_disjoint(p):
+    """First pair of terms with no conflicting literal, scanning i then j."""
+    for i in range(len(p.terms)):
+        for j in range(i + 1, len(p.terms)):
+            a, b = p.terms[i], p.terms[j]
+            polarity = {l.atom: l.positive for l in b.literals}
+            if not any(polarity.get(l.atom, l.positive) != l.positive for l in a.literals):
+                return ((i, a), (j, b))
     return None

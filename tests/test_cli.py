@@ -149,12 +149,13 @@ def test_lattice_json(capsys):
 
 
 def test_lattice_above_interval_limit_exits_2_before_enumerating(capsys, tmp_path, monkeypatch):
-    from preflogic import lattice
+    from preflogic import lattice, load_catalog
 
     def no_enumeration(*args, **kwargs):
         raise AssertionError("a structure was built for the refused interval")
 
-    monkeypatch.setattr(lattice, "implication_form", no_enumeration)
+    load_catalog()  # building the catalog builds structures from bits; do it before patching
+    monkeypatch.setattr(lattice.PreferenceStructure, "from_bits", no_enumeration)
     paths = []
     for p in ("false", "true"):
         doc = {"atoms": ["theta:yw", "theta:yl", "ref:yw"], "P": p, "PC": "true", "PA": "false"}
@@ -221,3 +222,24 @@ def test_huge_exponent_exits_2_before_expanding(capsys):
     assert code == 2 and out == ""
     assert "a term of 2000000 literals exceeds MAX_ATOMS = 16" in err
     assert elapsed < 0.5
+
+
+def test_side_over_max_atoms_exits_2(capsys):
+    # 19 atoms on the numerator, 10 literals per term, disjoint on theta:yw
+    side = "(1 - p(theta,yw))*p(ref,yw)^9 + p(theta,yw)*p(ref,yl)^9"
+    for top in (side, side.replace("(1 - p(theta,yw))", "p(theta,yw)")):  # and not disjoint
+        code, out, err = run(capsys, "decompile", "--loss", f"{top} / p(theta,yl)")
+        assert code == 2 and out == ""
+        assert "over 19 atoms exceeds MAX_ATOMS = 16" in err
+
+
+def test_decompile_resolves_a_name_before_parsing_an_equation(capsys):
+    code, out, _ = run(capsys, "decompile", "--loss", "orpo")
+    assert code == 0 and '"name": "ORPO"' in out
+    code, out, err = run(capsys, "decompile", "--loss", "DPOO")
+    assert code == 2 and out == ""
+    assert err.count("error:") == 1
+    assert "unknown loss 'DPOO'; close matches: DPO" in err
+    assert "nor an equation (expected a factor, got 'DPOO' (at position 0))" in err
+    code, out, err = run(capsys, "decompile", "--loss", "p(theta,yw) /")
+    assert code == 2 and "unknown loss 'p(theta,yw) /'" in err and "got None" in err

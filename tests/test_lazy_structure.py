@@ -84,8 +84,9 @@ def guarded(rng, n):
     base = tuple(a for a in POOL if a.model != "ref")[:n - 2]
     atoms = canonical_order(base + (Atom("ref", "yw"), Atom("ref", "yl")))
     check, cross = (widen(random_bits(rng, n - 2), base, atoms) for _ in range(2))
-    return (atoms, check & logic._var_mask(atoms.index(Atom("ref", "yl")), n),
-            cross & logic._var_mask(atoms.index(Atom("ref", "yw")), n))
+    masks = logic.var_masks(n)
+    return (atoms, check & masks[atoms.index(Atom("ref", "yl"))],
+            cross & masks[atoms.index(Atom("ref", "yw"))])
 
 
 def check_column(given, check, cross):
