@@ -13,10 +13,9 @@ from __future__ import annotations
 import warnings
 
 from .atoms import Atom, canonical_order
-from .errors import PrefLogicError
-from .logic import (FALSE, TRUE, Expr, Formula, TruthTable, and_, formula_of, implies_, minimize,
-                    sop_tree)
-from .poly import LossEquation, Polynomial, check_disjoint
+from .logic import (Formula, TruthTable, and_, formula_of, implies_, minimize, sop_tree, var,
+                    var_masks, widen)
+from .poly import REF_LOSER, REF_WINNER, LossEquation, Polynomial, disjoint_rows
 from .prefstruct import PreferenceStructure, implication_form
 
 
@@ -24,17 +23,14 @@ def sem(p: Polynomial, atoms=None) -> Formula:
     """Compositional translation of a disjoint multilinear polynomial.
 
     Guarantees eval_poly(p, w) == wmc(sem(p), w) for every weight map w.
+    Its truth table is the union of the terms' rows, found by the pass that
+    checks the terms are disjoint; it raises NonDisjointError as
+    ``parse_equation`` does.
     """
-    violation = check_disjoint(p)
-    if violation is not None:
-        (i, a), (j, b) = violation
-        raise PrefLogicError(
-            f"polynomial is not disjoint (terms {i + 1} and {j + 1}: "
-            f"{a.render()} and {b.render()})"
-        )
-    if atoms is None:
-        atoms = p.atoms()
-    return Formula(sop_tree([(l.atom, l.positive) for l in t.literals] for t in p.terms), atoms)
+    atoms = p.atoms() if atoms is None else canonical_order(atoms)
+    rows = disjoint_rows(p, atoms=atoms)
+    tree = sop_tree([(l.atom, l.positive) for l in t.literals] for t in p.terms)
+    return Formula._shown(tree, TruthTable(atoms, rows))
 
 
 def decompile(eq: LossEquation) -> PreferenceStructure:
@@ -51,12 +47,14 @@ def decompile_fuzzy(eq: LossEquation, simplify: bool = False) -> PreferenceStruc
     values; it is off unless requested.
     """
     atoms = eq.atoms()
-    winner = sem(eq.top, atoms)
-    loser = sem(eq.bottom, atoms)
-    p = Formula(implies_(loser.tree, winner.tree), atoms)
+    winner, loser = sem(eq.top, atoms), sem(eq.bottom, atoms)
+    full = (1 << (1 << len(atoms))) - 1
+    p = Formula._shown(implies_(loser.tree, winner.tree),
+                       TruthTable(atoms, full & ~loser.bits | winner.bits))
     if simplify:
         p = minimize(p)
-    return PreferenceStructure(p, Formula(TRUE, atoms), Formula(FALSE, atoms))
+    return PreferenceStructure(p, formula_of(TruthTable(atoms, full)),
+                               formula_of(TruthTable(atoms, 0)))
 
 
 def reference_structure(s: PreferenceStructure) -> PreferenceStructure:
@@ -70,11 +68,11 @@ def reference_structure(s: PreferenceStructure) -> PreferenceStructure:
     if any(a.model == "ref" for a in s.atoms):
         warnings.warn("structure already mentions ref atoms; adding another reference layer",
                       stacklevel=2)
-    ref_w = Atom("ref", "yw")
-    ref_l = Atom("ref", "yl")
-    atoms = canonical_order(tuple(s.atoms) + (ref_w, ref_l))
-    winner = formula_of(TruthTable(s.atoms, s.check_bits))
-    loser = formula_of(TruthTable(s.atoms, s.cross_bits))
-    guarded_w = Formula(and_(winner.tree, Expr("atom", atom=ref_l)), atoms)
-    guarded_l = Formula(and_(loser.tree, Expr("atom", atom=ref_w)), atoms)
-    return implication_form(guarded_w, guarded_l)
+    atoms = canonical_order(tuple(s.atoms) + (REF_WINNER, REF_LOSER))
+    mask_of = dict(zip(atoms, var_masks(len(atoms))))
+
+    def guarded(bits: int, ref: Atom) -> Formula:
+        tree = and_(formula_of(TruthTable(s.atoms, bits)).tree, var(ref))
+        return Formula._shown(tree, TruthTable(atoms, widen(bits, s.atoms, atoms) & mask_of[ref]))
+
+    return implication_form(guarded(s.check_bits, REF_LOSER), guarded(s.cross_bits, REF_WINNER))

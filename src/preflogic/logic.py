@@ -1,10 +1,13 @@
 """Propositional formulas over prediction atoms.
 
-A formula is an expression tree plus the ordered atom list it ranges over.
-Its canonical form is the truth-table bitmask over that atom order: bit i
-is set iff assignment i satisfies the formula, where bit j of i (counting
-from the most significant of n bits) gives the truth value of atom j.  Two
-formulas are equal exactly when their atom orders and bitmasks agree.
+A formula is a truth table over an ordered atom list, shown as an
+expression tree.  The table is a bitmask: bit i is set iff assignment i
+satisfies the formula, where bit j of i (counting from the most
+significant of n bits) gives the truth value of atom j.  Two formulas are
+equal exactly when their atom orders and bitmasks agree; the tree is only
+how the formula prints.  A tree is evaluated only when formula text is
+parsed (``Formula(tree, atoms)``, ``parse_formula``); every formula the
+package derives is built from bits it already holds.
 
 Formula source text is an s-expression::
 
@@ -164,11 +167,22 @@ def _tree_bits(node: Expr, mask_of: dict[Atom, int], full: int) -> int:
     raise ValueError(f"unknown node kind {node.op!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class Formula:
-    """Expression tree canonicalized over an ordered atom list."""
+def _require_table_width(n: int) -> None:
+    if n > MAX_ATOMS:
+        raise AtomLimitError(f"{n} atoms exceeds the {MAX_ATOMS}-atom truth-table cap")
 
-    tree: Expr
+
+@dataclass(frozen=True)
+class Formula:
+    """A truth table over an ordered atom list, shown as an expression tree.
+
+    ``==`` and ``hash`` read only (atoms, bits).  ``Formula(tree, atoms)``
+    evaluates the tree; that is the parse path.  Inside the package, a
+    formula whose bits are already known is built by ``_shown``, which
+    leaves its tree unevaluated.
+    """
+
+    tree: Expr = field(compare=False)
     atoms: tuple[Atom, ...]
     bits: int = field(init=False)
 
@@ -176,8 +190,7 @@ class Formula:
         atoms = canonical_order(self.atoms)
         object.__setattr__(self, "atoms", atoms)
         n = len(atoms)
-        if n > MAX_ATOMS:
-            raise AtomLimitError(f"{n} atoms exceeds the {MAX_ATOMS}-atom truth-table cap")
+        _require_table_width(n)
         missing = self.tree.atoms() - set(atoms)
         if missing:
             toks = ", ".join(sorted(a.token() for a in missing))
@@ -185,21 +198,16 @@ class Formula:
         mask_of = dict(zip(atoms, var_masks(n)))
         object.__setattr__(self, "bits", _tree_bits(self.tree, mask_of, (1 << (1 << n)) - 1))
 
+    @classmethod
+    def _shown(cls, tree: Expr, table: "TruthTable") -> "Formula":
+        """The formula whose truth table is ``table``, printed as ``tree``."""
+        f = cls.__new__(cls)
+        vars(f).update(tree=tree, atoms=table.atoms, bits=table.bits)
+        return f
+
     @property
     def n(self) -> int:
         return len(self.atoms)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << (1 << self.n)) - 1
-
-    def __eq__(self, other):
-        if not isinstance(other, Formula):
-            return NotImplemented
-        return self.atoms == other.atoms and self.bits == other.bits
-
-    def __hash__(self):
-        return hash((self.atoms, self.bits))
 
     def __str__(self):
         return render(self.tree)
@@ -227,6 +235,7 @@ def widen(bits: int, atoms: tuple[Atom, ...], wider: tuple[Atom, ...]) -> int:
     rows its bit splits: the 2^j blocks of the atoms after it are copied
     into both of its halves.
     """
+    _require_table_width(len(wider))
     have = set(atoms)
     width = len(atoms)
     for j, a in enumerate(wider):
@@ -259,8 +268,7 @@ class TruthTable:
             raise ValueError("duplicate atoms in truth-table order")
         atoms = canonical_order(given)
         n = len(atoms)
-        if n > MAX_ATOMS:
-            raise AtomLimitError(f"{n} atoms exceeds the {MAX_ATOMS}-atom truth-table cap")
+        _require_table_width(n)
         if not 0 <= self.bits < (1 << (1 << n)):
             raise ValueError("bit set does not fit the 2^n assignment rows")
         if atoms != given:
@@ -384,25 +392,24 @@ def formula_of(t: TruthTable) -> Formula:
     Memoized on (atoms, bits): printed views ask for the same few tables often.
     """
     n = t.n
-    full = (1 << (1 << n)) - 1
     if t.bits == 0:
-        return Formula(FALSE, t.atoms)
-    if t.bits == full:
-        return Formula(TRUE, t.atoms)
+        return Formula._shown(FALSE, t)
+    if t.bits == (1 << (1 << n)) - 1:
+        return Formula._shown(TRUE, t)
     if n <= MAX_MINIMIZE_ATOMS:
         patterns = _min_cover_patterns(t.bits, n)
     else:
         patterns = [_pattern((1 << n) - 1, i, n) for i in _iter_bits(t.bits)]
     cubes = ([(a, c == "1") for a, c in zip(t.atoms, p) if c != "-"] for p in sorted(patterns))
-    return Formula(sop_tree(cubes), t.atoms)
+    return Formula._shown(sop_tree(cubes), t)
 
 
 def harmonize(f: Formula, atoms) -> Formula:
-    """Rebuild f over a widened atom set (union, canonical order)."""
-    merged = canonical_order(tuple(f.atoms) + tuple(canonical_order(atoms)))
+    """f over a widened atom set (union, canonical order), its tree unchanged."""
+    merged = canonical_order(tuple(f.atoms) + tuple(atoms))
     if merged == f.atoms:
         return f
-    return Formula(f.tree, merged)
+    return Formula._shown(f.tree, TruthTable(merged, widen(f.bits, f.atoms, merged)))
 
 
 def harmonize_pair(f1: Formula, f2: Formula) -> tuple[Formula, Formula]:
@@ -543,6 +550,4 @@ def minimize(f: Formula) -> Formula:
         raise AtomLimitError(
             f"exact minimization handles at most {MAX_MINIMIZE_ATOMS} atoms, got {f.n}"
         )
-    out = formula_of(models_of(f))
-    assert out.bits == f.bits
-    return out
+    return formula_of(models_of(f))

@@ -29,6 +29,7 @@ from .errors import (
     MissingWeightError,
     NonDisjointError,
     PrefLogicError,
+    UndeclaredAtomError,
 )
 from .logic import MAX_ATOMS, cube_rows
 
@@ -201,24 +202,27 @@ def make_multilinear(raw: RawPoly) -> Polynomial:
             by_atom[atom] = positive
         literals = []
         for (atom, positive), k in powers.items():
-            for i in range(k):
+            literals.append(Literal(atom, positive))
+            for i in range(1, k):
                 literals.append(Literal(Atom(atom.model, atom.role, atom.copy + i), positive))
         terms.append(Term(tuple(literals)))
     return Polynomial(tuple(terms))
 
 
-def check_disjoint(p: Polynomial):
-    """None when every term pair conflicts on some atom, else the offending pair.
+def _rows_and_overlap(p: Polynomial, atoms=None):
+    """The row set of p and its first pair of terms sharing a row, or None.
 
-    The returned violation is ((i, term_i), (j, term_j)) for the first pair
-    of terms sharing a satisfying assignment: smallest i, then smallest j.
-    Each term's row mask is ORed into a running mask of the rows seen so
-    far; the pair is looked for only once some mask meets it.  A polynomial
-    over more than MAX_ATOMS atoms is refused before any mask is built.
+    Rows are indexed over ``atoms`` when given, as a truth table over them;
+    otherwise over p's atoms as first met, since which rows meet does not
+    depend on the atom order.  The pair is ((i, term_i), (j, term_j)):
+    smallest i, then smallest j.  Each term's row mask is ORed into a
+    running mask of the rows seen so far; the pair is looked for only once
+    some mask meets it.  A polynomial over more than MAX_ATOMS atoms is
+    refused before any mask is built.
     """
-    # each term as a (care, value) cube, atoms numbered as first met: the
-    # order of the atoms does not change which rows meet
-    bit: dict[Atom, int] = {}
+    # each term as a (care, value) cube; an atom missing from ``atoms`` gets
+    # a bit above theirs
+    bit = {a: 1 << (len(atoms) - 1 - j) for j, a in enumerate(atoms)} if atoms is not None else {}
     cubes = []
     for t in p.terms:
         care = value = 0
@@ -231,6 +235,9 @@ def check_disjoint(p: Polynomial):
     n = len(bit)
     if n > MAX_ATOMS:
         raise AtomLimitError(f"a polynomial over {n} atoms exceeds MAX_ATOMS = {MAX_ATOMS}")
+    if atoms is not None and n > len(atoms):
+        toks = ", ".join(sorted(a.token() for a in list(bit)[len(atoms):]))
+        raise UndeclaredAtomError(f"formula mentions undeclared atoms: {toks}")
     seen = 0
     for care, value in cubes:
         rows = cube_rows(care, value, n)
@@ -238,7 +245,7 @@ def check_disjoint(p: Polynomial):
             break
         seen |= rows
     else:
-        return None
+        return seen, None
     # some pair meets: i is the smallest term meeting a later one, j its first such partner
     later = 0
     for k in reversed(range(len(cubes))):
@@ -247,19 +254,35 @@ def check_disjoint(p: Polynomial):
             i, first = k, rows
         later |= rows
     j = next(j for j in range(i + 1, len(cubes)) if cube_rows(*cubes[j], n) & first)
-    return (i, p.terms[i]), (j, p.terms[j])
+    return seen, ((i, p.terms[i]), (j, p.terms[j]))
 
 
-def _require_disjoint(p: Polynomial, side: str) -> None:
-    violation = check_disjoint(p)
+def check_disjoint(p: Polynomial):
+    """None when every term pair conflicts on some atom, else the offending pair.
+
+    The returned violation is ((i, term_i), (j, term_j)) for the first pair
+    of terms sharing a satisfying assignment: smallest i, then smallest j.
+    A polynomial over more than MAX_ATOMS atoms is refused.
+    """
+    return _rows_and_overlap(p)[1]
+
+
+def disjoint_rows(p: Polynomial, side: str = "", atoms=None) -> int:
+    """The row set of p over ``atoms`` (see ``_rows_and_overlap``).
+
+    Raises NonDisjointError naming the first pair of terms that share a
+    row, the pair ``check_disjoint`` returns.
+    """
+    rows, violation = _rows_and_overlap(p, atoms)
     if violation is not None:
         (i, a), (j, b) = violation
-        raise NonDisjointError(
-            f"{side} polynomial is not disjoint: terms {i + 1} and {j + 1} "
-            f"({a.render()} and {b.render()}) share a solution",
+        raise NonDisjointError(  # with no side named, the text starts at "polynomial"
+            f"{side} polynomial is not disjoint: ".lstrip()
+            + f"terms {i + 1} and {j + 1} ({a.render()} and {b.render()}) share a solution",
             first=a,
             second=b,
         )
+    return rows
 
 
 def eval_poly(p: Polynomial, w: WeightMap) -> float:
@@ -400,8 +423,8 @@ def parse_equation(text: str, f_kind: str = "sl-log", beta: float = 1.0) -> Loss
     raw_top, raw_bottom = _EquationParser(text).parse_equation()
     top = make_multilinear(raw_top)
     bottom = make_multilinear(raw_bottom)
-    _require_disjoint(top, "numerator")
-    _require_disjoint(bottom, "denominator")
+    disjoint_rows(top, "numerator")
+    disjoint_rows(bottom, "denominator")
     return LossEquation(top, bottom, f_kind, beta)
 
 
@@ -432,8 +455,8 @@ def reference_transform(eq: LossEquation) -> LossEquation:
                       stacklevel=2)
     top = _times_literal(eq.top, REF_LOSER)
     bottom = _times_literal(eq.bottom, REF_WINNER)
-    _require_disjoint(top, "numerator")
-    _require_disjoint(bottom, "denominator")
+    disjoint_rows(top, "numerator")
+    disjoint_rows(bottom, "denominator")
     return LossEquation(top, bottom, eq.f_kind, eq.beta)
 
 

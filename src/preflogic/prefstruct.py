@@ -23,6 +23,7 @@ from .atoms import Atom, as_atom, canonical_order
 from .errors import PrefLogicError
 from .logic import (
     MAX_MINIMIZE_ATOMS,
+    Expr,
     Formula,
     TruthTable,
     and_,
@@ -60,7 +61,7 @@ class PreferenceStructure:
         atoms = canonical_order(tuple(p.atoms) + tuple(pc.atoms) + tuple(pa.atoms))
         p, pc, pa = (harmonize(f, atoms) for f in (p, pc, pa))
         check = (p.bits | pa.bits) & pc.bits
-        cross = ((p.full_mask & ~p.bits) | pa.bits) & pc.bits
+        cross = (~p.bits | pa.bits) & pc.bits
         # frozen: fill the fields and the cached views directly, once
         vars(self).update(atoms=atoms, check_bits=check, cross_bits=cross, p=p, pc=pc, pa=pa)
 
@@ -92,13 +93,18 @@ class PreferenceStructure:
     def pa(self) -> Formula:
         return self._view(self.check_bits & self.cross_bits, and_)
 
+    @cached_property
+    def _sides(self) -> tuple[Expr, Expr]:
+        # the winner and loser trees a view above the cap joins: their minterm
+        # expansions, unless implication_form kept the trees it was given
+        return tuple(formula_of(TruthTable(self.atoms, side)).tree
+                     for side in (self.check_bits, self.cross_bits))
+
     def _view(self, bits: int, join) -> Formula:
-        # above the cap, join the winner and loser minterm expansions unminimized
+        table = TruthTable(self.atoms, bits)
         if self.n <= MAX_MINIMIZE_ATOMS:
-            return formula_of(TruthTable(self.atoms, bits))
-        winner, loser = (formula_of(TruthTable(self.atoms, side)).tree
-                         for side in (self.check_bits, self.cross_bits))
-        return Formula(join(winner, loser), self.atoms)
+            return formula_of(table)
+        return Formula._shown(join(*self._sides), table)
 
     def harmonized(self, atoms) -> "PreferenceStructure":
         merged = canonical_order(tuple(self.atoms) + tuple(canonical_order(atoms)))
@@ -168,14 +174,13 @@ def implication_form(pw: Formula, pl: Formula) -> PreferenceStructure:
 
     Sets P := pl -> pw, PC := pw or pl, PA := pw and pl: within the
     minimization atom cap as the minimized views of ``from_bits``, beyond
-    it as these trees unminimized.  When pl is the negation of pw this
-    collapses to (pw, true, false).
+    it by joining the trees of pw and pl unminimized.  When pl is the
+    negation of pw this collapses to (pw, true, false).
     """
     pw, pl = harmonize_pair(pw, pl)
-    if len(pw.atoms) <= MAX_MINIMIZE_ATOMS:
-        return PreferenceStructure.from_bits(pw.atoms, pw.bits, pl.bits)
-    trees = (implies_(pl.tree, pw.tree), or_(pw.tree, pl.tree), and_(pw.tree, pl.tree))
-    return PreferenceStructure(*(Formula(t, pw.atoms) for t in trees))
+    s = PreferenceStructure.from_bits(pw.atoms, pw.bits, pl.bits)
+    vars(s)["_sides"] = (pw.tree, pl.tree)  # display only: the bits are the structure
+    return s
 
 
 def to_marks(s: PreferenceStructure) -> MarkTable:

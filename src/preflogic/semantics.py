@@ -1,8 +1,9 @@
 """Weighted model counting and loss evaluation.
 
-Model counting is brute force over the (at most 2^16) assignment rows;
-every instance this toolkit targets has six atoms or fewer, so enumeration
-is both exact and fast.
+Model counting sums the probabilities of a formula's assignment rows, one
+product per row: exact, and at most 2^16 rows, since truth tables cap at
+16 atoms.  Catalog structures have two to six atoms; equations with
+exponents or copies reach the 16-atom cap.
 """
 
 from __future__ import annotations
@@ -42,14 +43,10 @@ def _mass(bits: int, probs: list[float]) -> float:
     return total
 
 
-def _wmc_bits(atoms, bits: int, w: WeightMap) -> float:
-    return _mass(bits, _row_products(atoms, w))
-
-
 def wmc(f: Formula, w: WeightMap) -> float:
     """Probability mass of f's satisfying assignments under independent weights."""
     w.covers(f.atoms)
-    return _wmc_bits(f.atoms, f.bits, w)
+    return _mass(f.bits, _row_products(f.atoms, w))
 
 
 def loss_ratio(s: PreferenceStructure, w: WeightMap) -> float:

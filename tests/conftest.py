@@ -50,12 +50,21 @@ def assignment_for(index: int, atoms) -> dict[Atom, bool]:
     return {a: bool((index >> (n - 1 - j)) & 1) for j, a in enumerate(atoms)}
 
 
-def bits_by_enumeration(f: Formula) -> int:
+def tree_bits_by_rows(tree: Expr, atoms) -> int:
+    """Truth table of a tree over ``atoms``, evaluated one row at a time.
+
+    The reference for every formula the package builds from bits it already
+    holds: it reads no variable mask and no bit the package computed.
+    """
     bits = 0
-    for i in range(1 << len(f.atoms)):
-        if eval_expr(f.tree, assignment_for(i, f.atoms)):
+    for i in range(1 << len(atoms)):
+        if eval_expr(tree, assignment_for(i, atoms)):
             bits |= 1 << i
     return bits
+
+
+def bits_by_enumeration(f: Formula) -> int:
+    return tree_bits_by_rows(f.tree, f.atoms)
 
 
 def wmc_by_enumeration(f: Formula, weights: dict[Atom, float]) -> float:
