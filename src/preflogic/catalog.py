@@ -20,6 +20,7 @@ from .prefstruct import (
     MarkTable,
     PreferenceStructure,
     from_marks,
+    json_field,
     marks_from_json,
     pref_equivalent,
     structure_from_json,
@@ -88,16 +89,18 @@ class Catalog:
 
 
 def _build_entry(doc: dict) -> CatalogEntry:
-    name = doc["name"]
-    provenance = doc.get("provenance", "")
-    atoms = doc["atoms"]
-    marks = marks_from_json({"atoms": atoms, "marks": doc["marks"]}) if "marks" in doc else None
+    name = json_field(doc, "name", str, "catalog entry")
+    what = f"catalog entry {name!r}"
+    provenance = json_field(doc, "provenance", str, what) if "provenance" in doc else ""
+    atoms = json_field(doc, "atoms", list, what)
+    marks = (marks_from_json({"atoms": atoms, "marks": json_field(doc, "marks", list, what)})
+             if "marks" in doc else None)
 
     if "equation" in doc:
-        equation_text = doc["equation"]
+        equation_text = json_field(doc, "equation", str, what)
         equation = parse_equation(equation_text)
         structure = structure_from_json(
-            {"atoms": atoms, "P": doc["P"], "PC": doc["PC"], "PA": doc["PA"]}
+            {"atoms": atoms, **{key: json_field(doc, key, str, what) for key in ("P", "PC", "PA")}}
         )
         derived = False
     else:
@@ -133,14 +136,14 @@ def load_catalog(path: str | None = None) -> Catalog:
             text = fh.read()
     doc = json.loads(text)
     entries = {}
-    for entry_doc in doc["entries"]:
+    for entry_doc in json_field(doc, "entries", list, "catalog JSON"):
         entry = _build_entry(entry_doc)
         if entry.name in entries:
             raise PrefLogicError(f"duplicate catalog entry {entry.name!r}")
         entries[entry.name] = entry
-    aliases = {
-        alias: (spec["entry"], spec["f"]) for alias, spec in doc.get("aliases", {}).items()
-    }
+    specs = json_field(doc, "aliases", dict, "catalog JSON") if "aliases" in doc else {}
+    aliases = {alias: tuple(json_field(spec, key, str, f"catalog alias {alias!r}")
+                            for key in ("entry", "f")) for alias, spec in specs.items()}
     catalog = Catalog(entries, aliases)
     _cache[key] = catalog
     return catalog

@@ -45,8 +45,6 @@ class Config:
     catalog_path: str | None = None
     fmt: str = "text"
     out: str | None = None
-    beta: float = 1.0
-    f_kind: str = "sl-log"
 
 
 def _catalog(config: Config):
@@ -114,8 +112,8 @@ def cmd_decompile(args, config: Config) -> int:
 
 def cmd_compile(args, config: Config) -> int:
     structure, name, forced_f = _load_structure(args.structure, config)
-    f_kind = args.f or forced_f or config.f_kind
-    beta = args.beta if args.beta is not None else config.beta
+    f_kind = args.f or forced_f or "sl-log"
+    beta = args.beta if args.beta is not None else 1.0
     if args.fuzzy or f_kind == "fuzzy":
         text = f"loss[fuzzy] = {fuzzy_expression(structure.p)}"
         _emit(text, config)
@@ -131,8 +129,8 @@ def cmd_compile(args, config: Config) -> int:
 
 def cmd_eval(args, config: Config) -> int:
     structure, name, forced_f = _load_structure(args.structure, config)
-    f_kind = args.f or forced_f or config.f_kind
-    beta = args.beta if args.beta is not None else config.beta
+    f_kind = args.f or forced_f or "sl-log"
+    beta = args.beta if args.beta is not None else 1.0
     weights = WeightMap(_load_weights(args.weights))
     if args.dpop_gate:
         weights = dpop_gate(weights)

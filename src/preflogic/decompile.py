@@ -13,8 +13,9 @@ from __future__ import annotations
 import warnings
 
 from .atoms import Atom, canonical_order
-from .logic import (Formula, TruthTable, and_, formula_of, implies_, minimize, sop_tree, var,
-                    var_masks, widen)
+from .errors import AtomLimitError, UndeclaredAtomError
+from .logic import (MAX_ATOMS, Formula, TruthTable, and_, formula_of, implies_, minimize,
+                    sop_tree, var, var_masks, widen)
 from .poly import REF_LOSER, REF_WINNER, LossEquation, Polynomial, disjoint_rows
 from .prefstruct import PreferenceStructure, implication_form
 
@@ -23,14 +24,24 @@ def sem(p: Polynomial, atoms=None) -> Formula:
     """Compositional translation of a disjoint multilinear polynomial.
 
     Guarantees eval_poly(p, w) == wmc(sem(p), w) for every weight map w.
-    Its truth table is the union of the terms' rows, found by the pass that
-    checks the terms are disjoint; it raises NonDisjointError as
+    Its truth table is the union of the terms' rows over p's atoms, kept
+    from the pass that checks the terms are disjoint, widened to ``atoms``
+    when given (as ``harmonize`` widens); it raises NonDisjointError as
     ``parse_equation`` does.
     """
-    atoms = p.atoms() if atoms is None else canonical_order(atoms)
-    rows = disjoint_rows(p, atoms=atoms)
-    tree = sop_tree([(l.atom, l.positive) for l in t.literals] for t in p.terms)
-    return Formula._shown(tree, TruthTable(atoms, rows))
+    if atoms is None:
+        atoms = p.order
+    else:
+        atoms = canonical_order(atoms)
+        extra = set(p.order) - set(atoms)
+        width = len(atoms) + len(extra)
+        if width > MAX_ATOMS:
+            raise AtomLimitError(f"a polynomial over {width} atoms exceeds MAX_ATOMS = {MAX_ATOMS}")
+        if extra:
+            toks = ", ".join(sorted(a.token() for a in extra))
+            raise UndeclaredAtomError(f"formula mentions undeclared atoms: {toks}")
+    rows = widen(disjoint_rows(p), p.order, atoms)
+    return Formula._shown(sop_tree(p.cubes, p.order), TruthTable(atoms, rows))
 
 
 def decompile(eq: LossEquation) -> PreferenceStructure:

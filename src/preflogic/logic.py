@@ -89,19 +89,21 @@ def render(node: Expr) -> str:
     return "(" + " ".join([node.op] + [render(a) for a in node.args]) + ")"
 
 
-def sop_tree(cubes) -> Expr:
-    """Disjunction of conjunctions of (atom, positive) literals.
+def sop_tree(cubes, atoms) -> Expr:
+    """Disjunction of conjunctions: one per (care, value) cube over ``atoms``.
 
     An empty conjunction is true, an empty disjunction false, and a single
-    operand stands alone.
+    operand stands alone.  Each of the 2n literals is one leaf, shared by
+    every conjunction that holds it.
     """
     def join(op, xs, empty):
         return empty if not xs else xs[0] if len(xs) == 1 else Expr(op, tuple(xs))
 
-    def literal(atom, positive):
-        return var(atom) if positive else not_(var(atom))
-
-    return join("or", [join("and", [literal(*lit) for lit in cube], TRUE) for cube in cubes], FALSE)
+    n = len(atoms)
+    leaves = [(not_(var(a)), var(a)) for a in atoms]
+    return join("or", [join("and", [leaves[j][value >> (n - 1 - j) & 1]
+                                    for j in range(n) if care >> (n - 1 - j) & 1], TRUE)
+                       for care, value in cubes], FALSE)
 
 
 @lru_cache(maxsize=MAX_ATOMS + 1)
@@ -124,12 +126,17 @@ def var_masks(n: int) -> tuple[int, ...]:
 
 
 def cube_rows(care: int, value: int, n: int) -> int:
-    """Row bitmask of a cube over n atoms."""
-    rows = (1 << (1 << n)) - 1
-    for j, mask in enumerate(var_masks(n)):
-        bit = 1 << (n - 1 - j)
-        if care & bit:
-            rows &= mask if value & bit else ~mask
+    """Row bitmask of a cube over n atoms.
+
+    Starting from row ``value``, each atom the cube leaves free doubles the
+    set: the rows with its bit set are the rows so far shifted by that bit.
+    """
+    rows = 1 << value
+    free = ~care & ((1 << n) - 1)
+    while free:
+        b = free & -free
+        rows |= rows << b
+        free ^= b
     return rows
 
 
@@ -384,6 +391,9 @@ def models_of(f: Formula) -> TruthTable:
     return TruthTable(f.atoms, f.bits)
 
 
+_CARE = str.maketrans("01-", "110")  # a '01-' pattern's care bits
+
+
 @lru_cache(maxsize=256)
 def formula_of(t: TruthTable) -> Formula:
     """A formula whose model set equals t, printed as a minimal sum of products.
@@ -397,11 +407,11 @@ def formula_of(t: TruthTable) -> Formula:
     if t.bits == (1 << (1 << n)) - 1:
         return Formula._shown(TRUE, t)
     if n <= MAX_MINIMIZE_ATOMS:
-        patterns = _min_cover_patterns(t.bits, n)
+        cubes = [(int(p.translate(_CARE), 2), int(p.replace("-", "0"), 2))
+                 for p in _min_cover_patterns(t.bits, n)]
     else:
-        patterns = [_pattern((1 << n) - 1, i, n) for i in _iter_bits(t.bits)]
-    cubes = ([(a, c == "1") for a, c in zip(t.atoms, p) if c != "-"] for p in sorted(patterns))
-    return Formula._shown(sop_tree(cubes), t)
+        cubes = [((1 << n) - 1, i) for i in _iter_bits(t.bits)]
+    return Formula._shown(sop_tree(cubes, t.atoms), t)
 
 
 def harmonize(f: Formula, atoms) -> Formula:

@@ -20,7 +20,8 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .atoms import Atom, as_atom, canonical_order
 from .errors import (
@@ -29,13 +30,19 @@ from .errors import (
     MissingWeightError,
     NonDisjointError,
     PrefLogicError,
-    UndeclaredAtomError,
 )
-from .logic import MAX_ATOMS, cube_rows
+from .logic import MAX_ATOMS, cube_literals, cube_rows
 
 WEIGHT_EPSILON = 1e-12  # weights are clamped into [eps, 1 - eps] before use
 
 F_KINDS = ("sl-log", "sl-squared", "sl-margin")
+
+
+def literal_text(atom: Atom, positive: bool = True) -> str:
+    """p(atom) or (1 - p(atom)) as equation text."""
+    copy = f",copy {atom.copy}" if atom.copy != 1 else ""
+    inner = f"p({atom.model},{atom.role}{copy})"
+    return inner if positive else f"(1 - {inner})"
 
 
 @dataclass(frozen=True)
@@ -46,11 +53,7 @@ class Literal:
     positive: bool = True
 
     def render(self) -> str:
-        inner = f"p({self.atom.model},{self.atom.role}"
-        if self.atom.copy != 1:
-            inner += f",copy {self.atom.copy}"
-        inner += ")"
-        return inner if self.positive else f"(1 - {inner})"
+        return literal_text(self.atom, self.positive)
 
 
 @dataclass(frozen=True)
@@ -69,22 +72,64 @@ class Term:
         object.__setattr__(self, "literals", lits)
 
     def render(self) -> str:
-        if not self.literals:
-            return "1"
-        return "*".join(l.render() for l in self.literals)
+        return "*".join(l.render() for l in self.literals) or "1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Polynomial:
-    terms: tuple[Term, ...]
+    """A sum of products of literals, one (care, value) cube per term.
+
+    ``order`` is the canonically ordered atoms the terms mention, and the
+    cubes range over it (see ``logic.cube_rows``).  ``Polynomial(terms)``
+    builds one from ``Term`` objects through ``make_multilinear``; ``terms``
+    is a view built on first read.  The row set and first overlapping pair
+    are found by one pass, on first need, and kept.
+    """
+
+    order: tuple[Atom, ...]
+    cubes: tuple[tuple[int, int], ...]
+
+    def __init__(self, terms=()):
+        vars(self).update(vars(make_multilinear(
+            [[(l.atom, l.positive, 1) for l in t.literals] for t in terms])))
 
     def atoms(self) -> tuple[Atom, ...]:
-        return canonical_order(l.atom for t in self.terms for l in t.literals)
+        return self.order
+
+    def _term(self, i: int) -> Term:
+        return Term(tuple(Literal(*lit) for lit in cube_literals(*self.cubes[i], self.order)))
+
+    @cached_property
+    def terms(self) -> tuple[Term, ...]:
+        return tuple(self._term(i) for i in range(len(self.cubes)))
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(t.render() for t in self.terms)
+        return " + ".join("*".join(literal_text(*lit) for lit in cube_literals(*cube, self.order))
+                          or "1" for cube in self.cubes) or "0"
+
+    @cached_property
+    def _rows_and_overlap(self) -> tuple[int | None, tuple[int, int] | None]:
+        """The row set over ``order`` and None, or None and the first overlapping pair.
+
+        The pair (i, j) is the smallest i, then the smallest j, whose cubes
+        share a row.  One pass from the last cube back ORs each cube's rows
+        into a mask of the rows of the cubes after it; i is the last cube
+        found meeting that mask.  A polynomial over more than MAX_ATOMS
+        atoms is refused before any mask is built.
+        """
+        n = len(self.order)
+        if n > MAX_ATOMS:
+            raise AtomLimitError(f"a polynomial over {n} atoms exceeds MAX_ATOMS = {MAX_ATOMS}")
+        later, i = 0, None
+        for k in reversed(range(len(self.cubes))):
+            rows = cube_rows(*self.cubes[k], n)
+            if rows & later:
+                i, first = k, rows
+            later |= rows
+        if i is None:
+            return later, None
+        return None, (i, next(j for j in range(i + 1, len(self.cubes))
+                              if cube_rows(*self.cubes[j], n) & first))
 
 
 @dataclass(frozen=True)
@@ -103,16 +148,14 @@ class LossEquation:
             raise ValueError(f"beta must be positive, got {self.beta}")
 
     def atoms(self) -> tuple[Atom, ...]:
-        return canonical_order(self.top.atoms() + self.bottom.atoms())
+        return canonical_order(self.top.order + self.bottom.order)
 
     def render(self) -> str:
-        top = self.top.render()
-        bottom = self.bottom.render()
-        if len(self.top.terms) > 1:
+        top, bottom = self.top.render(), self.bottom.render()
+        if len(self.top.cubes) > 1:
             top = f"({top})"
-        if len(self.bottom.terms) > 1 or (
-            self.bottom.terms and len(self.bottom.terms[0].literals) > 1
-        ):
+        if len(self.bottom.cubes) > 1 or (
+                self.bottom.cubes and self.bottom.cubes[0][0].bit_count() > 1):
             bottom = f"({bottom})"
         return f"{top} / {bottom}"
 
@@ -179,82 +222,48 @@ def make_multilinear(raw: RawPoly) -> Polynomial:
     literals at copies c, c+1, ..., c+k-1, all sharing the atom's base; a
     term that takes both p and 1 - p on the same atom is rejected, since no
     product of distinct literals represents it, and so is a term whose
-    exponents sum past MAX_ATOMS, before any copy literal is built.
+    exponents sum past MAX_ATOMS, before any copy literal is built, and a
+    term whose copies land on one atom twice.
     """
+    number: dict[Atom, int] = {}  # each distinct atom, numbered as first met
     terms = []
     for raw_term in raw:
-        powers: dict[tuple[Atom, bool], int] = {}
+        powers: dict[tuple[int, bool], int] = {}
         for atom, positive, exponent in raw_term:
             if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 1:
                 raise PrefLogicError(f"exponent on {atom.token()} must be a positive integer")
-            key = (atom, positive)
+            key = (number.setdefault(atom, len(number)), positive)
             powers[key] = powers.get(key, 0) + exponent
         width = sum(powers.values())
         if width > MAX_ATOMS:
             raise AtomLimitError(f"a term of {width} literals exceeds MAX_ATOMS = {MAX_ATOMS}")
-        by_atom: dict[Atom, bool] = {}
-        for (atom, positive), _ in powers.items():
-            if atom in by_atom and by_atom[atom] != positive:
-                raise PrefLogicError(
-                    f"term mixes p and (1 - p) on atom {atom.token()}; "
-                    "not a product of distinct literals"
-                )
-            by_atom[atom] = positive
-        literals = []
-        for (atom, positive), k in powers.items():
-            literals.append(Literal(atom, positive))
-            for i in range(1, k):
-                literals.append(Literal(Atom(atom.model, atom.role, atom.copy + i), positive))
-        terms.append(Term(tuple(literals)))
-    return Polynomial(tuple(terms))
+        signs: dict[int, bool] = {}
+        for a, positive in powers:
+            if signs.setdefault(a, positive) != positive:
+                raise PrefLogicError(f"term mixes p and (1 - p) on atom {list(number)[a].token()}; "
+                                     "not a product of distinct literals")
+        literals = list(powers)
+        if len(literals) < width:  # p^k on copy c: copies c, ..., c+k-1
+            named = list(number)
+            literals = [(number.setdefault(replace(named[a], copy=named[a].copy + i), len(number)),
+                         positive) for (a, positive), k in powers.items() for i in range(k)]
+            seen = [a for a, _ in literals]
+            if len(set(seen)) < width:
+                twice = min((atom for atom, a in number.items() if seen.count(a) > 1),
+                            key=Atom.sort_key)
+                raise PrefLogicError(f"term uses atom {twice.token()} more than once")
+        terms.append(literals)
+    order = canonical_order(number)
+    bit = {number[a]: 1 << (len(order) - 1 - j) for j, a in enumerate(order)}
+    p = Polynomial.__new__(Polynomial)
+    vars(p).update(order=order, cubes=tuple(
+        (sum(bit[a] for a, _ in t), sum(bit[a] for a, positive in t if positive)) for t in terms))
+    return p
 
 
-def _rows_and_overlap(p: Polynomial, atoms=None):
-    """The row set of p and its first pair of terms sharing a row, or None.
-
-    Rows are indexed over ``atoms`` when given, as a truth table over them;
-    otherwise over p's atoms as first met, since which rows meet does not
-    depend on the atom order.  The pair is ((i, term_i), (j, term_j)):
-    smallest i, then smallest j.  Each term's row mask is ORed into a
-    running mask of the rows seen so far; the pair is looked for only once
-    some mask meets it.  A polynomial over more than MAX_ATOMS atoms is
-    refused before any mask is built.
-    """
-    # each term as a (care, value) cube; an atom missing from ``atoms`` gets
-    # a bit above theirs
-    bit = {a: 1 << (len(atoms) - 1 - j) for j, a in enumerate(atoms)} if atoms is not None else {}
-    cubes = []
-    for t in p.terms:
-        care = value = 0
-        for l in t.literals:
-            b = bit.setdefault(l.atom, 1 << len(bit))
-            care |= b
-            if l.positive:
-                value |= b
-        cubes.append((care, value))
-    n = len(bit)
-    if n > MAX_ATOMS:
-        raise AtomLimitError(f"a polynomial over {n} atoms exceeds MAX_ATOMS = {MAX_ATOMS}")
-    if atoms is not None and n > len(atoms):
-        toks = ", ".join(sorted(a.token() for a in list(bit)[len(atoms):]))
-        raise UndeclaredAtomError(f"formula mentions undeclared atoms: {toks}")
-    seen = 0
-    for care, value in cubes:
-        rows = cube_rows(care, value, n)
-        if seen & rows:
-            break
-        seen |= rows
-    else:
-        return seen, None
-    # some pair meets: i is the smallest term meeting a later one, j its first such partner
-    later = 0
-    for k in reversed(range(len(cubes))):
-        rows = cube_rows(*cubes[k], n)
-        if rows & later:
-            i, first = k, rows
-        later |= rows
-    j = next(j for j in range(i + 1, len(cubes)) if cube_rows(*cubes[j], n) & first)
-    return seen, ((i, p.terms[i]), (j, p.terms[j]))
+def raw_terms(cubes, atoms) -> RawPoly:
+    """(care, value) cubes over ``atoms`` as raw terms, every exponent 1."""
+    return [[(a, positive, 1) for a, positive in cube_literals(*cube, atoms)] for cube in cubes]
 
 
 def check_disjoint(p: Polynomial):
@@ -264,34 +273,32 @@ def check_disjoint(p: Polynomial):
     of terms sharing a satisfying assignment: smallest i, then smallest j.
     A polynomial over more than MAX_ATOMS atoms is refused.
     """
-    return _rows_and_overlap(p)[1]
+    pair = p._rows_and_overlap[1]
+    return None if pair is None else tuple((i, p._term(i)) for i in pair)
 
 
-def disjoint_rows(p: Polynomial, side: str = "", atoms=None) -> int:
-    """The row set of p over ``atoms`` (see ``_rows_and_overlap``).
+def disjoint_rows(p: Polynomial, side: str = "") -> int:
+    """The row set of p over ``p.order``, from the pass ``check_disjoint`` reads.
 
     Raises NonDisjointError naming the first pair of terms that share a
     row, the pair ``check_disjoint`` returns.
     """
-    rows, violation = _rows_and_overlap(p, atoms)
-    if violation is not None:
-        (i, a), (j, b) = violation
+    rows, pair = p._rows_and_overlap
+    if pair is not None:
+        (i, a), (j, b) = check_disjoint(p)
         raise NonDisjointError(  # with no side named, the text starts at "polynomial"
-            f"{side} polynomial is not disjoint: ".lstrip()
-            + f"terms {i + 1} and {j + 1} ({a.render()} and {b.render()}) share a solution",
-            first=a,
-            second=b,
-        )
+            f"{side} polynomial is not disjoint: ".lstrip() + f"terms {i + 1} and {j + 1} "
+            f"({a.render()} and {b.render()}) share a solution", first=a, second=b)
     return rows
 
 
 def eval_poly(p: Polynomial, w: WeightMap) -> float:
     total = 0.0
-    for term in p.terms:
+    for cube in p.cubes:
         prod = 1.0
-        for lit in term.literals:
-            v = w.resolve(lit.atom)
-            prod *= v if lit.positive else 1.0 - v
+        for atom, positive in cube_literals(*cube, p.order):
+            v = w.resolve(atom)
+            prod *= v if positive else 1.0 - v
         total += prod
     return total
 
@@ -332,14 +339,18 @@ class _EquationParser:
         self.pos += 1
         return tok, at
 
-    def parse_equation(self) -> tuple[RawPoly, RawPoly]:
-        top = self.parse_poly()
-        self.take("/")
-        bottom = self.parse_poly()
+    def parse_all(self, parse):
+        """What ``parse`` reads, refusing any input left after it."""
+        out = parse()
         tok, at = self.peek()
         if tok is not None:
             raise EquationSyntaxError(f"trailing input {tok!r}", at)
-        return top, bottom
+        return out
+
+    def parse_ratio(self) -> tuple[RawPoly, RawPoly]:
+        top = self.parse_poly()
+        self.take("/")
+        return top, self.parse_poly()
 
     def parse_poly(self) -> RawPoly:
         out = list(self.parse_term())
@@ -411,16 +422,13 @@ class _EquationParser:
 
 def parse_polynomial(text: str) -> Polynomial:
     parser = _EquationParser(text)
-    raw = parser.parse_poly()
-    tok, at = parser.peek()
-    if tok is not None:
-        raise EquationSyntaxError(f"trailing input {tok!r}", at)
-    return make_multilinear(raw)
+    return make_multilinear(parser.parse_all(parser.parse_poly))
 
 
 def parse_equation(text: str, f_kind: str = "sl-log", beta: float = 1.0) -> LossEquation:
     """Parse, multilinearize and disjointness-check an equation source string."""
-    raw_top, raw_bottom = _EquationParser(text).parse_equation()
+    parser = _EquationParser(text)
+    raw_top, raw_bottom = parser.parse_all(parser.parse_ratio)
     top = make_multilinear(raw_top)
     bottom = make_multilinear(raw_bottom)
     disjoint_rows(top, "numerator")
@@ -436,12 +444,7 @@ REF_LOSER = Atom("ref", "yl")
 
 
 def _times_literal(p: Polynomial, atom: Atom) -> Polynomial:
-    raw: RawPoly = []
-    for term in p.terms:
-        raw_term: RawTerm = [(l.atom, l.positive, 1) for l in term.literals]
-        raw_term.append((atom, True, 1))
-        raw.append(raw_term)
-    return make_multilinear(raw)
+    return make_multilinear([t + [(atom, True, 1)] for t in raw_terms(p.cubes, p.order)])
 
 
 def reference_transform(eq: LossEquation) -> LossEquation:

@@ -145,7 +145,8 @@ class MarkTable:
             )
         bad = [m for m in marks if m not in MARKS]
         if bad:
-            raise PrefLogicError(f"unknown marks: {sorted(set(bad))}")
+            shown = ", ".join(sorted({repr(m) for m in bad}))  # JSON values need not compare
+            raise PrefLogicError(f"unknown marks: [{shown}]")
         check, cross = (TruthTable(given, _bits_marked(marks, kind)) for kind in ("check", "cross"))
         object.__setattr__(self, "atoms", check.atoms)
         object.__setattr__(self, "marks", _mark_column(check.bits, cross.bits, len(marks)))
@@ -268,17 +269,25 @@ def structure_to_json(s: PreferenceStructure, name: str | None = None) -> dict:
     return doc
 
 
+_JSON_TYPES = {str: ("string", str), list: ("list", (list, tuple)), dict: ("JSON object", dict)}
+
+
+def json_field(doc, key: str, kind: type, what: str):
+    """``doc[key]``, refused unless ``doc`` is an object holding a ``kind`` there."""
+    if not isinstance(doc, dict):
+        raise PrefLogicError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    if key not in doc:
+        raise PrefLogicError(f"{what} is missing key {key!r}")
+    name, accepted = _JSON_TYPES[kind]
+    if not isinstance(doc[key], accepted):
+        raise PrefLogicError(f"{what} key {key!r} must be a {name}, got {type(doc[key]).__name__}")
+    return doc[key]
+
+
 def structure_from_json(doc: dict) -> PreferenceStructure:
-    try:
-        atoms = canonical_order(doc["atoms"])
-        p, pc, pa = doc["P"], doc["PC"], doc["PA"]
-    except KeyError as exc:
-        raise PrefLogicError(f"structure JSON is missing key {exc}") from None
-    return PreferenceStructure(
-        parse_formula(p, atoms),
-        parse_formula(pc, atoms),
-        parse_formula(pa, atoms),
-    )
+    atoms = canonical_order(json_field(doc, "atoms", list, "structure JSON"))
+    texts = [json_field(doc, key, str, "structure JSON") for key in ("P", "PC", "PA")]
+    return PreferenceStructure(*(parse_formula(text, atoms) for text in texts))
 
 
 def marks_to_json(m: MarkTable) -> dict:

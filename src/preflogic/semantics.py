@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 
 from .errors import TrivialStructureError, ZeroCountError
-from .logic import Formula, cube_literals, minimize, var_masks
-from .poly import F_KINDS, Literal, LossEquation, Polynomial, Term, WeightMap
+from .logic import Formula, minimize, var_masks
+from .poly import F_KINDS, LossEquation, WeightMap, literal_text, make_multilinear, raw_terms
 from .prefstruct import PreferenceStructure
 
 CLAMP = 1e-12
@@ -127,12 +127,6 @@ def _disjoint_cover(bits: int, n: int) -> list[tuple[int, int]]:
     return recurse(bits, 0, 0, list(range(n))[::-1])
 
 
-def _cover_polynomial(bits: int, atoms) -> Polynomial:
-    cubes = _disjoint_cover(bits, len(atoms))
-    return Polynomial(tuple(Term(tuple(Literal(*lit) for lit in cube_literals(*c, atoms)))
-                            for c in cubes))
-
-
 def compile_equation(s: PreferenceStructure, f_kind: str = "sl-log",
                      beta: float = 1.0) -> LossEquation:
     """Structure -> equation whose ratio equals exp(loss_ratio) everywhere.
@@ -143,8 +137,8 @@ def compile_equation(s: PreferenceStructure, f_kind: str = "sl-log",
     if s.check_bits == 0 or s.cross_bits == 0:
         side = "winner" if s.check_bits == 0 else "loser"
         raise TrivialStructureError(f"cannot compile a structure with an empty {side} set")
-    top = _cover_polynomial(s.check_bits, s.atoms)
-    bottom = _cover_polynomial(s.cross_bits, s.atoms)
+    top = make_multilinear(raw_terms(_disjoint_cover(s.check_bits, len(s.atoms)), s.atoms))
+    bottom = make_multilinear(raw_terms(_disjoint_cover(s.cross_bits, len(s.atoms)), s.atoms))
     return LossEquation(top, bottom, f_kind, beta)
 
 
@@ -219,7 +213,7 @@ def fuzzy_expression(f: Formula) -> str:
 
 def _fuzzy_text(node) -> str:
     if node.op == "atom":
-        return Literal(node.atom).render()
+        return literal_text(node.atom)
     if node.op == "true":
         return "1"
     if node.op == "false":

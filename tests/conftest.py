@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from types import SimpleNamespace
 
 from preflogic import (
     Expr,
@@ -20,8 +21,11 @@ from preflogic import (
     implication_form,
     minimize,
 )
-from preflogic.atoms import Atom
-from preflogic.logic import MAX_MINIMIZE_ATOMS, _petrick, and_, harmonize_pair, implies_, or_
+from preflogic.atoms import Atom, canonical_order
+from preflogic.errors import AtomLimitError, NonDisjointError, PrefLogicError
+from preflogic.logic import (MAX_ATOMS, MAX_MINIMIZE_ATOMS, _petrick, and_, harmonize_pair,
+                             implies_, or_)
+from preflogic.poly import Literal, Term
 
 
 def eval_expr(node: Expr, assignment: dict[Atom, bool]) -> bool:
@@ -320,3 +324,70 @@ def pairwise_check_disjoint(p):
             if not any(polarity.get(l.atom, l.positive) != l.positive for l in a.literals):
                 return ((i, a), (j, b))
     return None
+
+
+# ---------------------------------------------------------------------------
+# reference equation sides: every term a Term of Literal objects, as sides
+# were stored before they became (care, value) cubes
+
+
+def reference_multilinear(raw) -> tuple[Term, ...]:
+    """The Term/Literal expansion of raw (atom, positive, exponent) factor lists."""
+    terms = []
+    for raw_term in raw:
+        powers: dict[tuple[Atom, bool], int] = {}
+        for atom, positive, exponent in raw_term:
+            if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 1:
+                raise PrefLogicError(f"exponent on {atom.token()} must be a positive integer")
+            powers[(atom, positive)] = powers.get((atom, positive), 0) + exponent
+        width = sum(powers.values())
+        if width > MAX_ATOMS:
+            raise AtomLimitError(f"a term of {width} literals exceeds MAX_ATOMS = {MAX_ATOMS}")
+        by_atom: dict[Atom, bool] = {}
+        for atom, positive in powers:
+            if atom in by_atom and by_atom[atom] != positive:
+                raise PrefLogicError(f"term mixes p and (1 - p) on atom {atom.token()}; "
+                                     "not a product of distinct literals")
+            by_atom[atom] = positive
+        literals = []
+        for (atom, positive), k in powers.items():
+            literals.append(Literal(atom, positive))
+            for i in range(1, k):
+                literals.append(Literal(Atom(atom.model, atom.role, atom.copy + i), positive))
+        terms.append(Term(tuple(literals)))
+    return tuple(terms)
+
+
+def reference_render(terms) -> str:
+    return " + ".join(t.render() for t in terms) if terms else "0"
+
+
+def reference_atoms(terms) -> tuple[Atom, ...]:
+    return canonical_order(l.atom for t in terms for l in t.literals)
+
+
+def reference_rows(terms, side: str = "") -> int:
+    """The side's row set over its atoms, listing each term's rows.
+
+    Refuses as the package does: past MAX_ATOMS atoms, then on the first
+    pair of terms with no conflicting literal.
+    """
+    atoms = reference_atoms(terms)
+    if len(atoms) > MAX_ATOMS:
+        raise AtomLimitError(f"a polynomial over {len(atoms)} atoms exceeds "
+                             f"MAX_ATOMS = {MAX_ATOMS}")
+    pair = pairwise_check_disjoint(SimpleNamespace(terms=terms))
+    if pair is not None:
+        (i, a), (j, b) = pair
+        raise NonDisjointError(f"{side} polynomial is not disjoint: ".lstrip()
+                               + f"terms {i + 1} and {j + 1} ({a.render()} and {b.render()}) "
+                               "share a solution", first=a, second=b)
+    n = len(atoms)
+    rows = 0
+    for t in terms:  # each term's rows: its literals fixed, every other atom free
+        fixed = {l.atom: l.positive for l in t.literals}
+        free = [n - 1 - j for j, a in enumerate(atoms) if a not in fixed]
+        base = sum(1 << (n - 1 - j) for j, a in enumerate(atoms) if fixed.get(a))
+        for values in itertools.product((0, 1), repeat=len(free)):
+            rows |= 1 << (base + sum(v << shift for v, shift in zip(values, free)))
+    return rows

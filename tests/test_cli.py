@@ -1,6 +1,8 @@
 import json
 import time
 
+import pytest
+
 from preflogic.cli import main
 
 
@@ -243,3 +245,43 @@ def test_decompile_resolves_a_name_before_parsing_an_equation(capsys):
     assert "nor an equation (expected a factor, got 'DPOO' (at position 0))" in err
     code, out, err = run(capsys, "decompile", "--loss", "p(theta,yw) /")
     assert code == 2 and "unknown loss 'p(theta,yw) /'" in err and "got None" in err
+
+
+STRUCTURE = {"atoms": ["theta:yw", "theta:yl"], "P": "(implies theta:yl theta:yw)",
+             "PC": "(or theta:yl theta:yw)", "PA": "(and theta:yl theta:yw)"}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1, 2], "structure JSON must be a JSON object, got list"),
+    ({**STRUCTURE, "P": 5}, "structure JSON key 'P' must be a string, got int"),
+    ({**STRUCTURE, "atoms": "theta:yw"}, "structure JSON key 'atoms' must be a list, got str"),
+    ({k: v for k, v in STRUCTURE.items() if k != "PA"}, "structure JSON is missing key 'PA'"),
+])
+@pytest.mark.parametrize("command", [["compile", "--structure"],
+                                     ["lattice", "--upper", "CPO", "--lower"]])
+def test_malformed_structure_json_exits_2(capsys, tmp_path, doc, message, command):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, *command, str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"entries": [{"atoms": ["theta:yw"], "marks": ["cross", "check"]}]},
+     "catalog entry is missing key 'name'"),
+    ({"entries": [{"name": 5, "atoms": ["theta:yw"], "marks": ["cross", "check"]}]},
+     "catalog entry key 'name' must be a string, got int"),
+    ({"entries": [{"name": "mini", "atoms": ["theta:yw", "theta:yl"],
+                   "equation": "p(theta,yw) / p(theta,yl)", "P": "theta:yw"}]},
+     "catalog entry 'mini' is missing key 'PC'"),
+    ({"entries": {"name": "mini"}}, "catalog JSON key 'entries' must be a list, got dict"),
+    ([], "catalog JSON must be a JSON object, got list"),
+    ({"entries": [], "aliases": {"x": "CPO"}}, "catalog alias 'x' must be a JSON object, got str"),
+    ({"entries": [{"name": "m", "atoms": ["theta:yw"], "marks": [["check"], "x"]}]},
+     "unknown marks: ['x', ['check']]"),
+])
+def test_malformed_catalog_json_exits_2(capsys, tmp_path, doc, message):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "--catalog", str(path), "catalog", "list")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
