@@ -75,14 +75,13 @@ def _emit(text: str, config: Config) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _structure_text(s, name=None) -> str:
-    lines = []
-    if name:
-        lines.append(f"name: {name}")
-    lines.append("atoms: " + " ".join(a.token() for a in s.atoms))
-    lines.append(f"P:  {s.p}")
-    lines.append(f"PC: {s.pc}")
-    lines.append(f"PA: {s.pa}")
+def _structure_text(doc: dict) -> str:
+    """The text lines of a ``structure_to_json`` document, which holds the printed views."""
+    lines = [f"name: {doc['name']}"] if doc.get("name") else []
+    lines.append("atoms: " + " ".join(doc["atoms"]))
+    lines.append(f"P:  {doc['P']}")
+    lines.append(f"PC: {doc['PC']}")
+    lines.append(f"PA: {doc['PA']}")
     return "\n".join(lines)
 
 
@@ -102,11 +101,8 @@ def cmd_decompile(args, config: Config) -> int:
     if args.reference:
         structure = reference_structure(structure)
     doc = structure_to_json(structure, name=cat.name_of(structure))
-    if config.fmt == "json":
-        _emit(json.dumps(doc, indent=2), config)
-    else:
-        name = doc.get("name")
-        _emit(_structure_text(structure, name) + "\n" + json.dumps(doc, indent=2), config)
+    text = json.dumps(doc, indent=2)
+    _emit(text if config.fmt == "json" else _structure_text(doc) + "\n" + text, config)
     return 0
 
 
@@ -237,7 +233,7 @@ def cmd_catalog(args, config: Config) -> int:
         f"name: {entry.name}",
         f"provenance: {entry.provenance}",
         f"equation: {entry.equation_text}" + (" (derived)" if entry.equation_derived else ""),
-        _structure_text(entry.structure),
+        _structure_text(structure_to_json(entry.structure)),
         "rows (" + " ".join(a.token() for a in marks.atoms) + "):",
     ]
     n = len(marks.atoms)

@@ -27,7 +27,8 @@ def sem(p: Polynomial, atoms=None) -> Formula:
     Its truth table is the union of the terms' rows over p's atoms, kept
     from the pass that checks the terms are disjoint, widened to ``atoms``
     when given (as ``harmonize`` widens); it raises NonDisjointError as
-    ``parse_equation`` does.
+    ``parse_equation`` does.  Its tree, one conjunction per term, is built
+    when first read.
     """
     if atoms is None:
         atoms = p.order
@@ -41,7 +42,7 @@ def sem(p: Polynomial, atoms=None) -> Formula:
             toks = ", ".join(sorted(a.token() for a in extra))
             raise UndeclaredAtomError(f"formula mentions undeclared atoms: {toks}")
     rows = widen(disjoint_rows(p), p.order, atoms)
-    return Formula._shown(sop_tree(p.cubes, p.order), TruthTable(atoms, rows))
+    return Formula._derived(TruthTable(atoms, rows), lambda: sop_tree(p.cubes, p.order))
 
 
 def decompile(eq: LossEquation) -> PreferenceStructure:
@@ -60,8 +61,8 @@ def decompile_fuzzy(eq: LossEquation, simplify: bool = False) -> PreferenceStruc
     atoms = eq.atoms()
     winner, loser = sem(eq.top, atoms), sem(eq.bottom, atoms)
     full = (1 << (1 << len(atoms))) - 1
-    p = Formula._shown(implies_(loser.tree, winner.tree),
-                       TruthTable(atoms, full & ~loser.bits | winner.bits))
+    p = Formula._derived(TruthTable(atoms, full & ~loser.bits | winner.bits),
+                         lambda: implies_(loser.tree, winner.tree))
     if simplify:
         p = minimize(p)
     return PreferenceStructure(p, formula_of(TruthTable(atoms, full)),
@@ -83,7 +84,8 @@ def reference_structure(s: PreferenceStructure) -> PreferenceStructure:
     mask_of = dict(zip(atoms, var_masks(len(atoms))))
 
     def guarded(bits: int, ref: Atom) -> Formula:
-        tree = and_(formula_of(TruthTable(s.atoms, bits)).tree, var(ref))
-        return Formula._shown(tree, TruthTable(atoms, widen(bits, s.atoms, atoms) & mask_of[ref]))
+        table = TruthTable(atoms, widen(bits, s.atoms, atoms) & mask_of[ref])
+        return Formula._derived(table, lambda: and_(formula_of(TruthTable(s.atoms, bits)).tree,
+                                                    var(ref)))
 
     return implication_form(guarded(s.check_bits, REF_LOSER), guarded(s.cross_bits, REF_WINNER))

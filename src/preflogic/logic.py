@@ -6,8 +6,10 @@ satisfies the formula, where bit j of i (counting from the most
 significant of n bits) gives the truth value of atom j.  Two formulas are
 equal exactly when their atom orders and bitmasks agree; the tree is only
 how the formula prints.  A tree is evaluated only when formula text is
-parsed (``Formula(tree, atoms)``, ``parse_formula``); every formula the
-package derives is built from bits it already holds.
+parsed (``Formula(tree, atoms)``, ``parse_formula``).  Every formula the
+package derives is its truth table plus a display recipe, and its tree is
+built from the recipe on first read, so the minimizer runs only when a
+view is printed.
 
 Formula source text is an s-expression::
 
@@ -185,8 +187,8 @@ class Formula:
 
     ``==`` and ``hash`` read only (atoms, bits).  ``Formula(tree, atoms)``
     evaluates the tree; that is the parse path.  Inside the package, a
-    formula whose bits are already known is built by ``_shown``, which
-    leaves its tree unevaluated.
+    formula whose bits are already known is built by ``_derived`` from its
+    table and a recipe, which builds the tree when ``tree`` is first read.
     """
 
     tree: Expr = field(compare=False)
@@ -206,11 +208,19 @@ class Formula:
         object.__setattr__(self, "bits", _tree_bits(self.tree, mask_of, (1 << (1 << n)) - 1))
 
     @classmethod
-    def _shown(cls, tree: Expr, table: "TruthTable") -> "Formula":
-        """The formula whose truth table is ``table``, printed as ``tree``."""
+    def _derived(cls, table: "TruthTable", recipe) -> "Formula":
+        """The formula whose truth table is ``table``, printed as ``recipe()``."""
         f = cls.__new__(cls)
-        vars(f).update(tree=tree, atoms=table.atoms, bits=table.bits)
+        vars(f).update(atoms=table.atoms, bits=table.bits, _recipe=recipe)
         return f
+
+    def __getattr__(self, name):
+        # only a derived formula lacks its tree: build it on first read and keep it
+        recipe = vars(self).get("_recipe")
+        if name != "tree" or recipe is None:
+            raise AttributeError(f"'Formula' object has no attribute {name!r}")
+        tree = vars(self)["tree"] = recipe()
+        return tree
 
     @property
     def n(self) -> int:
@@ -398,20 +408,26 @@ _CARE = str.maketrans("01-", "110")  # a '01-' pattern's care bits
 def formula_of(t: TruthTable) -> Formula:
     """A formula whose model set equals t, printed as a minimal sum of products.
 
-    Above the minimization cap the raw minterm expansion is returned instead.
-    Memoized on (atoms, bits): printed views ask for the same few tables often.
+    Above the minimization cap it prints the raw minterm expansion instead.
+    Nothing is minimized until the tree is first read.  Memoized on
+    (atoms, bits): printed views ask for the same few tables often, and each
+    is minimized once.
     """
+    return Formula._derived(t, lambda: _cover_tree(t))
+
+
+def _cover_tree(t: TruthTable) -> Expr:
     n = t.n
     if t.bits == 0:
-        return Formula._shown(FALSE, t)
+        return FALSE
     if t.bits == (1 << (1 << n)) - 1:
-        return Formula._shown(TRUE, t)
+        return TRUE
     if n <= MAX_MINIMIZE_ATOMS:
         cubes = [(int(p.translate(_CARE), 2), int(p.replace("-", "0"), 2))
                  for p in _min_cover_patterns(t.bits, n)]
     else:
         cubes = [((1 << n) - 1, i) for i in _iter_bits(t.bits)]
-    return Formula._shown(sop_tree(cubes, t.atoms), t)
+    return sop_tree(cubes, t.atoms)
 
 
 def harmonize(f: Formula, atoms) -> Formula:
@@ -419,7 +435,7 @@ def harmonize(f: Formula, atoms) -> Formula:
     merged = canonical_order(tuple(f.atoms) + tuple(atoms))
     if merged == f.atoms:
         return f
-    return Formula._shown(f.tree, TruthTable(merged, widen(f.bits, f.atoms, merged)))
+    return Formula._derived(TruthTable(merged, widen(f.bits, f.atoms, merged)), lambda: f.tree)
 
 
 def harmonize_pair(f1: Formula, f2: Formula) -> tuple[Formula, Formula]:

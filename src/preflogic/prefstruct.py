@@ -11,7 +11,8 @@ sides.  Its two derived forms
 induce the check set and cross set of a four-valued mark table: rows in
 both sets carry both marks, rows in neither are blank.  The structure is
 that (check set, cross set) pair over its atoms; P, PC and PA are views of
-it, built when first read.
+it, built when first read.  A view is a truth table plus a display recipe:
+its tree is built, and its table minimized, only when it is printed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .atoms import Atom, as_atom, canonical_order
 from .errors import PrefLogicError
 from .logic import (
     MAX_MINIMIZE_ATOMS,
-    Expr,
     Formula,
     TruthTable,
     and_,
@@ -34,7 +34,6 @@ from .logic import (
     not_,
     or_,
     parse_formula,
-    render,
     var_masks,
     widen,
 )
@@ -49,8 +48,7 @@ class PreferenceStructure:
     ``==`` and ``hash`` read only (atoms, check_bits, cross_bits).
     ``PreferenceStructure(p, pc, pa)`` keeps the formulas it is given for
     display; ``from_bits`` derives P := cross -> check, PC := check or
-    cross and PA := check and cross on first access, each minimized within
-    the minimization atom cap.
+    cross and PA := check and cross on first access (see ``_view``).
     """
 
     atoms: tuple[Atom, ...]
@@ -66,10 +64,16 @@ class PreferenceStructure:
         vars(self).update(atoms=atoms, check_bits=check, cross_bits=cross, p=p, pc=pc, pa=pa)
 
     @classmethod
-    def from_bits(cls, atoms: tuple[Atom, ...], check: int, cross: int) -> "PreferenceStructure":
-        """The structure with these check and cross sets over canonically ordered atoms."""
+    def from_bits(cls, atoms: tuple[Atom, ...], check: int, cross: int,
+                  sides: tuple[Formula, Formula] | None = None) -> "PreferenceStructure":
+        """The structure with these check and cross sets over canonically ordered atoms.
+
+        ``sides``, a winner and a loser formula over ``atoms`` with these
+        bits, are what a view above the minimization cap joins for display;
+        by default the minterm expansions of the two sets.
+        """
         s = cls.__new__(cls)
-        vars(s).update(atoms=tuple(atoms), check_bits=check, cross_bits=cross)
+        vars(s).update(atoms=tuple(atoms), check_bits=check, cross_bits=cross, _display=sides)
         return s
 
     @property
@@ -93,18 +97,15 @@ class PreferenceStructure:
     def pa(self) -> Formula:
         return self._view(self.check_bits & self.cross_bits, and_)
 
-    @cached_property
-    def _sides(self) -> tuple[Expr, Expr]:
-        # the winner and loser trees a view above the cap joins: their minterm
-        # expansions, unless implication_form kept the trees it was given
-        return tuple(formula_of(TruthTable(self.atoms, side)).tree
-                     for side in (self.check_bits, self.cross_bits))
-
     def _view(self, bits: int, join) -> Formula:
+        # what a derived view prints: its table minimized within the minimization
+        # atom cap, above it the join of the winner and loser display trees
         table = TruthTable(self.atoms, bits)
         if self.n <= MAX_MINIMIZE_ATOMS:
             return formula_of(table)
-        return Formula._shown(join(*self._sides), table)
+        sides = self._display or [formula_of(TruthTable(self.atoms, side))
+                                  for side in (self.check_bits, self.cross_bits)]
+        return Formula._derived(table, lambda: join(*(f.tree for f in sides)))
 
     def harmonized(self, atoms) -> "PreferenceStructure":
         merged = canonical_order(tuple(self.atoms) + tuple(canonical_order(atoms)))
@@ -115,8 +116,7 @@ class PreferenceStructure:
         return PreferenceStructure.from_bits(merged, check, cross)
 
     def __str__(self):
-        return (f"P := {render(self.p.tree)}; PC := {render(self.pc.tree)}; "
-                f"PA := {render(self.pa.tree)}")
+        return f"P := {self.p}; PC := {self.pc}; PA := {self.pa}"
 
 
 def _mark_column(check: int, cross: int, rows: int) -> tuple[str, ...]:
@@ -179,9 +179,7 @@ def implication_form(pw: Formula, pl: Formula) -> PreferenceStructure:
     negation of pw this collapses to (pw, true, false).
     """
     pw, pl = harmonize_pair(pw, pl)
-    s = PreferenceStructure.from_bits(pw.atoms, pw.bits, pl.bits)
-    vars(s)["_sides"] = (pw.tree, pl.tree)  # display only: the bits are the structure
-    return s
+    return PreferenceStructure.from_bits(pw.atoms, pw.bits, pl.bits, (pw, pl))
 
 
 def to_marks(s: PreferenceStructure) -> MarkTable:
@@ -260,9 +258,9 @@ def count_structures(n: int) -> int:
 def structure_to_json(s: PreferenceStructure, name: str | None = None) -> dict:
     doc = {
         "atoms": [a.token() for a in s.atoms],
-        "P": render(s.p.tree),
-        "PC": render(s.pc.tree),
-        "PA": render(s.pa.tree),
+        "P": str(s.p),
+        "PC": str(s.pc),
+        "PA": str(s.pa),
     }
     if name is not None:
         doc["name"] = name
@@ -295,7 +293,5 @@ def marks_to_json(m: MarkTable) -> dict:
 
 
 def marks_from_json(doc: dict) -> MarkTable:
-    try:
-        return MarkTable(tuple(doc["atoms"]), tuple(doc["marks"]))
-    except KeyError as exc:
-        raise PrefLogicError(f"mark-table JSON is missing key {exc}") from None
+    return MarkTable(*(tuple(json_field(doc, key, list, "mark-table JSON"))
+                       for key in ("atoms", "marks")))

@@ -1,26 +1,33 @@
-"""Seeded CLI inputs: every case exits 0, 2, 3 or 4 and raises nothing.
+"""Seeded CLI inputs: every case exits 0, 2, 3 or 4, raises nothing and
+finishes within a time budget.
 
 A fixed-seed corpus of ``decompile --loss`` texts over at most 8 atoms
 (products of sums with exponents, copies, ``1 - p`` and ``1``, some
-truncated or mutated), of structure JSON documents and of weight JSON
-documents, each run in-process through ``cli.main``.  An exception escaping
-``main`` is what prints a Python traceback, so none may.
+truncated or mutated), of structure JSON documents, of weight JSON
+documents, of ``lattice`` runs between structure JSON bounds and of
+``--format json`` / ``--format dot`` runs, each run in-process through
+``cli.main``.  An exception escaping ``main`` is what prints a Python
+traceback, so none may.
 """
 
 import io
 import json
 import random
+import time
 import traceback
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from preflogic import PreferenceStructure, structure_to_json
+from preflogic.atoms import canonical_order
 from preflogic.cli import main
 
 pytestmark = pytest.mark.filterwarnings("ignore:structure already mentions ref atoms")
 
 ATOMS = [("theta", "yw"), ("theta", "yl"), ("ref", "yw"), ("ref", "yl")]
 TOKENS = ["theta:yw", "theta:yl", "ref:yw", "ref:yl"]
+BUDGET_S = 2.0  # per case, in-process; none of these inputs needs a tenth of it
 
 
 def run(argv):
@@ -110,6 +117,32 @@ def weights_doc(rng):
     return json.dumps(doc)
 
 
+def lattice_bounds(rng, tmp_path, k):
+    """Paths of a lower and an upper bound structure JSON over two or three atoms.
+
+    The upper bound adds up to three rows to the lower's check set and
+    drops up to three from its cross set, so the interval holds at most 64
+    structures.  Now and then the bounds are swapped, and so no longer
+    entail each other, or one is a generated formula document.
+    """
+    atoms = canonical_order(TOKENS[:rng.choice([2, 3])])
+    rows = 1 << len(atoms)
+    check, cross = rng.getrandbits(rows), rng.getrandbits(rows)
+    grow, shrink = (sum(1 << r for r in rng.sample(range(rows), rng.randint(0, 3)))
+                    for _ in range(2))
+    bounds = [(check, cross), (check | grow, cross & ~shrink)]
+    if rng.random() < 0.15:
+        bounds.reverse()
+    paths = []
+    for side, bits in zip("lu", bounds):
+        doc = structure_to_json(PreferenceStructure.from_bits(atoms, *bits))
+        path = tmp_path / f"{side}{k}.json"
+        path.write_text(json.dumps(structure_doc(rng) if rng.random() < 0.1 else doc),
+                        encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
 def cases(tmp_path):
     rng = random.Random("cli-generated")
     for _ in range(150):
@@ -128,19 +161,36 @@ def cases(tmp_path):
     for _ in range(50):
         yield ["eval", "--structure", rng.choice(["DPO", "CPO", "ORPO", "SimPO"]),
                "--weights", weights_doc(rng)] + rng.choice([[], ["--dpop-gate"], ["--f", "fuzzy"]])
+    formats = [[], ["--format", "json"], ["--format", "dot"]]
+    for k in range(60):
+        lower, upper = lattice_bounds(rng, tmp_path, k)
+        yield (rng.choice(formats) + ["lattice", "--lower", lower, "--upper", upper]
+               + rng.choice([[], ["--include-trivial"]]) + rng.choice([[], ["--dot"]]))
+    for k in range(40):
+        fmt = rng.choice(formats[1:])
+        if k % 2:
+            yield fmt + ["decompile", "--loss", equation_text(rng)] + rng.choice([[], ["--reference"]])
+        else:
+            path = tmp_path / f"f{k}.json"
+            path.write_text(json.dumps(structure_doc(rng)), encoding="utf-8")
+            yield fmt + ["compile", "--structure", rng.choice([str(path), "DPO", "SimPO"])]
 
 
 def test_generated_inputs_exit_cleanly(tmp_path):
     codes, failures = {}, []
     for argv in cases(tmp_path):
+        start = time.perf_counter()
         try:
             code, err = run(argv)
         except Exception:  # an escaping exception prints a traceback
             failures.append(f"{argv}\n{traceback.format_exc()}")
             continue
+        elapsed = time.perf_counter() - start
         if code not in (0, 2, 3, 4) or "Traceback" in err:
             failures.append(f"{argv}: exit {code}\n{err}")
+        if elapsed > BUDGET_S:
+            failures.append(f"{argv}: {elapsed:.2f} s, over the {BUDGET_S} s budget")
         codes[code] = codes.get(code, 0) + 1
     assert not failures, "\n".join(failures[:5])
-    assert sum(codes.values()) == 300
+    assert sum(codes.values()) == 400
     assert {0, 2, 3} <= set(codes), codes

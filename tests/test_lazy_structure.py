@@ -3,10 +3,12 @@
 The differential tests print lazily built structures and compare them with
 the eager implication form in conftest, which minimizes P, PC and PA as
 soon as a structure is built.  The laziness tests count calls into the
-exact minimizer.
+exact minimizer, and the display-tree tests count ``Expr`` nodes built:
+a derived formula's tree is built from its recipe on first read.
 """
 
 import random
+import sys
 import warnings
 from importlib import resources
 
@@ -37,7 +39,7 @@ from preflogic import (
 )
 from preflogic import logic
 from preflogic.atoms import Atom, canonical_order
-from preflogic.logic import and_, var, widen
+from preflogic.logic import Expr, and_, var, widen
 from preflogic.prefstruct import MARKS
 
 from conftest import eager_implication_form, random_bits
@@ -219,3 +221,116 @@ def test_lattices_minimize_nothing_but_one_core_per_dot_cluster(minimizer_calls)
     assert len(nodes) == 256 and minimizer_calls == []
     dot = export_dot(nodes, edges)
     assert len(minimizer_calls) <= 3 * dot.count("subgraph cluster_")
+
+
+# ---------------------------------------------------------------------------
+# display trees: a derived formula builds its tree on first read
+
+
+@pytest.fixture
+def built(monkeypatch, minimizer_calls):
+    """(Expr nodes built, minimizer calls) since the fixture was set up."""
+    load_catalog()  # parsing the catalog builds the trees of its formula text
+    logic.formula_of.cache_clear()  # no memoized formula holds a tree already
+    nodes = [0]
+    init = Expr.__init__
+
+    def counted(self, *args, **kwargs):
+        nodes[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Expr, "__init__", counted)
+    return lambda: (nodes[0], len(minimizer_calls))
+
+
+def product_equation(k):
+    return "*".join(f"(p(m{i},yw)+(1-p(m{i},yw)))" for i in range(1, k + 1)) + " / p(theta,yl)"
+
+
+def test_parsing_and_printing_are_counted(built):
+    parse_formula("(implies theta:yl theta:yw)", POOL[:2])
+    nodes, calls = built()
+    assert nodes > 0 and calls == 0
+    str(formula_of(TruthTable(POOL[:3], 0b01101001)))
+    assert built()[0] > nodes and built()[1] == 1
+
+
+def test_decompile_builds_no_tree(built):
+    for entry in load_catalog().entries.values():
+        decompile(entry.equation)
+    assert decompile(parse_equation(product_equation(12))).n == 13
+    assert built() == (0, 0)
+
+
+def test_compiling_evaluating_and_lattices_build_no_tree(built):
+    rng = random.Random("display-trees")
+    for entry in load_catalog().entries.values():
+        s = entry.structure
+        compile_equation(s)
+        loss_ratio(s, WeightMap({a.base(): rng.uniform(0.05, 0.95) for a in s.atoms}))
+    atoms = POOL[:2]
+    spec = LatticeSpec(PreferenceStructure.from_bits(atoms, 0, 0b1111),
+                       PreferenceStructure.from_bits(atoms, 0b1111, 0), nontrivial_only=False)
+    assert len(hasse(enumerate_between(spec))) > 0
+    assert built() == (0, 0)
+
+
+def test_reference_structure_builds_no_tree(built):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # some entries already mention ref atoms
+        for entry in load_catalog().entries.values():
+            reference_structure(entry.structure)
+            reference_structure(decompile(entry.equation))
+    assert built() == (0, 0)
+
+
+def test_a_tree_is_built_once_and_kept(built):
+    f = formula_of(TruthTable(POOL[:3], 0b01101001))
+    assert built() == (0, 0)
+    assert f.tree is f.tree
+    nodes, calls = built()
+    assert nodes > 0 and calls == 1
+    side = sem(parse_equation("p(theta,yw)*(1 - p(theta,yl)) / p(theta,yl)").top)
+    assert side.tree is side.tree
+    assert str(formula_of(TruthTable(POOL[:3], 0b01101001))) == str(f)
+    assert built()[1] == 1
+
+
+@pytest.fixture
+def side_trees(monkeypatch):
+    """The atom lists of the sum-of-products side trees built."""
+    calls = []
+    original = logic.sop_tree
+
+    def counted(cubes, atoms):
+        calls.append(atoms)
+        return original(cubes, atoms)
+
+    for module in (logic, sys.modules["preflogic.decompile"]):
+        monkeypatch.setattr(module, "sop_tree", counted)
+    logic.formula_of.cache_clear()
+    return calls
+
+
+def test_a_view_above_the_cap_builds_each_side_once(side_trees):
+    rng = random.Random("display-trees/wide")
+    atoms = canonical_order(POOL)
+    check, cross = random_bits(rng, 7), random_bits(rng, 7)
+    eq = parse_equation("p(theta,yw)^2*p(ref,yl)^2 / (p(theta,yl)^2*p(ref,yw)^2)")
+    wide = (PreferenceStructure.from_bits(atoms, check, cross), decompile(eq))
+    for lazy in wide:
+        side_trees.clear()
+        for _ in range(2):
+            str(lazy), structure_to_json(lazy)
+        assert len(side_trees) == 2
+        winner, loser = lazy.pa.tree.args
+        assert lazy.pc.tree.args[0] is winner and lazy.pc.tree.args[1] is loser
+        assert lazy.p.tree.args[0] is loser and lazy.p.tree.args[1] is winner
+    eager = (eager_implication_form(formula_of(TruthTable(atoms, check)),
+                                    formula_of(TruthTable(atoms, cross))),
+             eager_decompile(eq))
+    for lazy, expected in zip(wide, eager):
+        assert_prints_as(lazy, expected)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert_prints_as(reference_structure(lazy), eager_reference_structure(lazy))

@@ -154,6 +154,17 @@ def test_marks_round_trip_json():
     assert marks_from_json(doc) == m
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"atoms": 5, "marks": []}, "key 'atoms' must be a list, got int"),
+    ({"atoms": ["theta:yw"], "marks": 7}, "key 'marks' must be a list, got int"),
+    ([1, 2], "must be a JSON object, got list"),
+    ({"atoms": ["theta:yw"]}, "missing key 'marks'"),
+])
+def test_malformed_mark_json_names_the_key_or_type(doc, message):
+    with pytest.raises(PrefLogicError, match=f"mark-table JSON.*{message}"):
+        marks_from_json(doc)
+
+
 def test_structure_round_trip_json():
     s = cpo_structure()
     doc = json.loads(json.dumps(structure_to_json(s, name="CPO")))
