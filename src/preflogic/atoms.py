@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import AtomSyntaxError
 
@@ -89,5 +90,13 @@ def canonical_order(atoms) -> tuple[Atom, ...]:
     Tunable-model atoms come first, then their copies, then reference
     atoms and copies, then manual-reference atoms, then user models
     alphabetically; within a model, winner before loser, copies ascending.
+    Every value is read by ``as_atom`` before the memo sees it, so a value
+    that is not an atom is refused as such, whether hashable or not.
     """
-    return tuple(sorted({as_atom(a) for a in atoms}, key=Atom.sort_key))
+    return _sorted_atoms(frozenset(map(as_atom, atoms)))
+
+
+@lru_cache(maxsize=1024)
+def _sorted_atoms(atoms: frozenset[Atom]) -> tuple[Atom, ...]:
+    # a process meets few distinct atom sets and sorts each of them often
+    return tuple(sorted(atoms, key=Atom.sort_key))

@@ -2,11 +2,16 @@
 
 Exit codes: 0 success, 2 input error, 3 equation outside the disjoint
 polynomial class, 4 trivial structure.
+
+``main(argv)`` may be called repeatedly in one process.  The argument
+parser is built on the first call and reused by every later one; each
+call parses into a fresh namespace, so no option carries over.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -244,7 +249,9 @@ def cmd_catalog(args, config: Config) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one argument parser of this process, built on first use."""
     parser = argparse.ArgumentParser(
         prog="preflogic",
         description="Compile, decompile and analyze preference-alignment losses.",

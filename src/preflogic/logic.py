@@ -404,16 +404,26 @@ def models_of(f: Formula) -> TruthTable:
 _CARE = str.maketrans("01-", "110")  # a '01-' pattern's care bits
 
 
-@lru_cache(maxsize=256)
 def formula_of(t: TruthTable) -> Formula:
     """A formula whose model set equals t, printed as a minimal sum of products.
 
     Above the minimization cap it prints the raw minterm expansion instead.
-    Nothing is minimized until the tree is first read.  Memoized on
-    (atoms, bits): printed views ask for the same few tables often, and each
-    is minimized once.
+    Nothing is minimized until the tree is first read.  Within the cap it is
+    memoized on (atoms, bits): printed views ask for the same few tables
+    often, and each is minimized once.  Above the cap nothing is minimized,
+    so a memo would only keep wide minterm trees alive.
     """
+    if t.n > MAX_MINIMIZE_ATOMS:
+        return Formula._derived(t, lambda: _cover_tree(t))
+    return _minimized(t)
+
+
+@lru_cache(maxsize=256)
+def _minimized(t: TruthTable) -> Formula:
     return Formula._derived(t, lambda: _cover_tree(t))
+
+
+formula_of.cache_clear = _minimized.cache_clear
 
 
 def _cover_tree(t: TruthTable) -> Expr:

@@ -103,9 +103,14 @@ class PreferenceStructure:
         table = TruthTable(self.atoms, bits)
         if self.n <= MAX_MINIMIZE_ATOMS:
             return formula_of(table)
-        sides = self._display or [formula_of(TruthTable(self.atoms, side))
-                                  for side in (self.check_bits, self.cross_bits)]
+        sides = self._sides
         return Formula._derived(table, lambda: join(*(f.tree for f in sides)))
+
+    @cached_property
+    def _sides(self) -> tuple[Formula, Formula]:
+        # the winner and loser display formulas the views above the cap share
+        return self._display or tuple(formula_of(TruthTable(self.atoms, side))
+                                      for side in (self.check_bits, self.cross_bits))
 
     def harmonized(self, atoms) -> "PreferenceStructure":
         merged = canonical_order(tuple(self.atoms) + tuple(canonical_order(atoms)))

@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from preflogic.cli import main
+import preflogic
+from preflogic.cli import build_parser, main
+
+PACKAGE = Path(preflogic.__file__).parent
 
 
 def run(capsys, *argv):
@@ -256,6 +263,10 @@ STRUCTURE = {"atoms": ["theta:yw", "theta:yl"], "P": "(implies theta:yl theta:yw
     ({**STRUCTURE, "P": 5}, "structure JSON key 'P' must be a string, got int"),
     ({**STRUCTURE, "atoms": "theta:yw"}, "structure JSON key 'atoms' must be a list, got str"),
     ({k: v for k, v in STRUCTURE.items() if k != "PA"}, "structure JSON is missing key 'PA'"),
+    ({**STRUCTURE, "atoms": [[1]]}, "cannot interpret [1] as an atom"),
+    ({**STRUCTURE, "atoms": [{}]}, "cannot interpret {} as an atom"),
+    ({**STRUCTURE, "atoms": [5]}, "cannot interpret 5 as an atom"),
+    ({**STRUCTURE, "atoms": ["theta:yw", ["x"]]}, "cannot interpret ['x'] as an atom"),
 ])
 @pytest.mark.parametrize("command", [["compile", "--structure"],
                                      ["lattice", "--upper", "CPO", "--lower"]])
@@ -285,3 +296,69 @@ def test_malformed_catalog_json_exits_2(capsys, tmp_path, doc, message):
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = run(capsys, "--catalog", str(path), "catalog", "list")
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def fresh_python(code, *args):
+    """(exit code, stdout) of ``python -c code args...`` in a new interpreter."""
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    return done.returncode, done.stdout
+
+
+def alone(argv):
+    return fresh_python("import sys; from preflogic.cli import main; sys.exit(main(sys.argv[1:]))",
+                        *argv)
+
+
+def test_the_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_importing_the_package_builds_no_parser():
+    code = "import preflogic, preflogic.cli; print(preflogic.cli.build_parser.cache_info().currsize)"
+    assert fresh_python(code) == (0, "0\n")
+
+
+def test_no_option_carries_over_between_calls(capsys, tmp_path):
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text((PACKAGE / "catalog.json").read_text(encoding="utf-8")
+                       .replace('"DPO"', '"MyDPO"'), encoding="utf-8")
+    dot = tmp_path / "lattice.dot"
+    weights = '{"theta:yw":0.8,"theta:yl":0.3,"ref:yw":0.5,"ref:yl":0.4}'
+    commands = [
+        ["--format", "json", "--catalog", str(catalog), "decompile", "--loss", "CPO", "--reference"],
+        ["--format", "dot", "--out", str(dot), "lattice", "--lower", "CEUnl", "--upper", "unCPO"],
+        ["eval", "--structure", "DPOP", "--weights", weights, "--f", "sl-margin", "--beta", "2",
+         "--dpop-gate"],
+        ["decompile", "--loss", "CPO"],
+        ["lattice", "--lower", "CEUnl", "--upper", "unCPO"],
+        ["eval", "--structure", "DPOP", "--weights", weights],
+    ]
+    in_process = [run(capsys, *argv)[:2] for argv in commands]
+    written = dot.read_text(encoding="utf-8")
+    dot.unlink()
+    assert in_process == [alone(argv) for argv in commands]
+    assert dot.read_text(encoding="utf-8") == written
+    assert '"name": "MyDPO"' in in_process[0][1] and in_process[1][1] == ""
+    assert written.startswith("digraph") and in_process[4][1].startswith("16 structures")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    (["catalog", "show"], "error: catalog show requires a name"),
+    (["compile", "--structure", "CPO", "--f", "bogus"], "argument --f: invalid choice: 'bogus'"),
+])
+def test_usage_errors_repeat_identically(capsys, argv, message):
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr())
+    assert errors[0] == errors[1]
+    assert errors[0].out == "" and errors[0].err.startswith("usage: preflogic")
+    assert message in errors[0].err

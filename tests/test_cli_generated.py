@@ -99,8 +99,10 @@ def structure_doc(rng):
     elif fault == 2:
         doc = rng.choice([[1, 2], "P", 7, None, []])
     elif fault == 3:
-        doc["atoms"] = rng.choice([["theta:yw", "theta:yw"], ["theta"], [5], ["x:yw:0"], []])
+        doc["atoms"] = rng.choice([["theta:yw", "theta:yw"], ["theta"], ["x:yw:0"], []])
     elif fault == 4:
+        doc["atoms"] = rng.choice([[[1]], [{}], [5], ["theta:yw", ["x"]]])  # not atoms at all
+    elif fault == 5:
         doc["P"] = mutate(rng, doc["P"])
     return doc
 

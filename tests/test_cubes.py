@@ -5,7 +5,9 @@ Shannon cover over frozensets of minterms and the pairwise disjointness
 scan.  Each new path must give exactly their output on seeded corpora.
 """
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -193,3 +195,24 @@ def test_text_lattice_minimizes_each_distinct_bitset_once(monkeypatch):
     text = [str(s) for s in nodes]
     assert len(nodes) == 256 and len(set(text)) == 256
     assert calls and len(calls) == len(set(calls))
+
+
+def test_printing_a_wide_structure_keeps_no_tree_alive():
+    # above the minimization cap a view prints minterm trees; the memo keeps
+    # none of them once the structure is dropped (0.49 MB here at 11 atoms
+    # when every table was memoized)
+    rng = random.Random("wide-print")
+    atoms = canonical_order([f"m{i}:yw" for i in range(11)])
+    s = PreferenceStructure.from_bits(atoms, random_bits(rng, 11), random_bits(rng, 11))
+    logic.formula_of.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        str(s)
+        del s
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 0.2e6

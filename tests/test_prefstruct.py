@@ -23,7 +23,7 @@ from preflogic import (
     to_marks,
 )
 from preflogic.atoms import canonical_order
-from preflogic.errors import PrefLogicError
+from preflogic.errors import AtomSyntaxError, PrefLogicError
 from preflogic.prefstruct import PreferenceStructure, support_key
 
 from conftest import random_bits, structure_from_bits
@@ -170,6 +170,15 @@ def test_structure_round_trip_json():
     doc = json.loads(json.dumps(structure_to_json(s, name="CPO")))
     assert doc["name"] == "CPO"
     assert structure_from_json(doc) == s
+
+
+@pytest.mark.parametrize("atoms, bad", [([[1]], "[1]"), ([{}], "{}"), ([5], "5"),
+                                        (["theta:yw", ["x"]], "['x']")])
+def test_structure_json_names_a_malformed_atom(atoms, bad):
+    doc = {"atoms": atoms, "P": "true", "PC": "true", "PA": "true"}
+    with pytest.raises(AtomSyntaxError) as exc:
+        structure_from_json(doc)
+    assert str(exc.value) == f"cannot interpret {bad} as an atom"
 
 
 # ---------------------------------------------------------------------------
